@@ -222,7 +222,7 @@ pub fn collect_filtered(quick: bool, seed: u64, only: Option<&str>) -> PerfSnaps
     // threads, no hub cap: the profile whose explicit `A x A^T` is out
     // of reach rides the inverted index, whose segment-deduplicated
     // traversals keep every sweep at O(nnz) — only the one-shot exact
-    // degree pass pays sum(support^2). The rcm_ms column tracks the
+    // degree pass pays up to sum(support^2). The rcm_ms column tracks the
     // "orders a million rows in single-digit seconds" contract, with no
     // quality tradeoff (see crates/bench/tests/questxl_scale.rs to
     // remeasure, capped or uncapped). Generated lazily so `--only`

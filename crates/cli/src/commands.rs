@@ -1178,9 +1178,11 @@ pub fn attack(args: &Args) -> Result<String, CliError> {
     match args.value("attacker") {
         None | Some("all") => {}
         Some(a) if plan.wants(a) => plan = plan.with_attackers(vec![a.to_string()]),
-        Some(a) => return Err(CliError::Usage(format!(
+        Some(a) => {
+            return Err(CliError::Usage(format!(
             "unknown attacker {a:?}; expected all, background, linkage, intersection or vulnerable"
-        ))),
+        )))
+        }
     }
 
     let mut targets = vec![AttackTarget::raw()];

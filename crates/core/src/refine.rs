@@ -33,16 +33,59 @@ pub struct RefineStats {
 /// The intra-group similarity objective: total pairwise QID overlap
 /// within groups, summed over the release. Higher is better; this is the
 /// quantity CAHD's candidate selection maximizes greedily.
+///
+/// One counting pass, O(nnz), by the identity
+/// `sum over pairs |a ∩ b| = sum over items C(c, 2)`, where `c` counts the
+/// group's rows holding the item. Rows are read as sets (a repeated id
+/// counts once, id order is irrelevant), which is exactly the pairwise
+/// overlap on the strictly increasing rows every release carries. Ids are
+/// only compared, never used as indices or sizes, so a tampered release
+/// with out-of-range ids costs the same as a genuine one.
 pub fn intra_group_overlap(published: &PublishedDataset) -> u64 {
+    let mut entries: Vec<(ItemId, u32)> = Vec::new();
+    let mut scratch = Vec::new();
     let mut total = 0u64;
     for g in &published.groups {
-        for a in 0..g.qid_rows.len() {
-            for b in (a + 1)..g.qid_rows.len() {
-                total += overlap(&g.qid_rows[a], &g.qid_rows[b]);
-            }
+        entries.clear();
+        for (r, row) in (0u32..).zip(&g.qid_rows) {
+            entries.extend(row.iter().map(|&item| (item, r)));
+        }
+        sort_by_item(&mut entries, &mut scratch);
+        // The sort is stable, so within one item's run the row indices
+        // ascend and a row's repeats of the item are adjacent.
+        for run in entries.chunk_by(|a, b| a.0 == b.0) {
+            let rows = 1 + run.windows(2).filter(|w| w[0].1 != w[1].1).count() as u64;
+            total += rows * (rows - 1) / 2;
         }
     }
     total
+}
+
+/// Stable LSD radix sort of `(item, row)` entries by item, one byte per
+/// pass; a byte on which every entry agrees costs only its count.
+fn sort_by_item(entries: &mut Vec<(ItemId, u32)>, scratch: &mut Vec<(ItemId, u32)>) {
+    for shift in [0, 8, 16, 24] {
+        let bucket = |item: ItemId| (item >> shift) as usize & 0xff;
+        let mut offsets = [0usize; 256];
+        for &(item, _) in entries.iter() {
+            offsets[bucket(item)] += 1;
+        }
+        if offsets.contains(&entries.len()) {
+            continue;
+        }
+        let mut start = 0;
+        for slot in &mut offsets {
+            (*slot, start) = (start, start + *slot);
+        }
+        scratch.clear();
+        scratch.resize(entries.len(), (0, 0));
+        for &e in entries.iter() {
+            let b = bucket(e.0);
+            scratch[offsets[b]] = e;
+            offsets[b] += 1;
+        }
+        std::mem::swap(entries, scratch);
+    }
 }
 
 fn overlap(a: &[ItemId], b: &[ItemId]) -> u64 {
@@ -215,6 +258,77 @@ pub fn refine_groups(
 mod tests {
     use super::*;
     use crate::verify::verify_published;
+    use proptest::prelude::*;
+
+    /// The former pairwise-merge objective, kept as the oracle for the
+    /// counting pass.
+    fn pairwise_overlap(published: &PublishedDataset) -> u64 {
+        let mut total = 0u64;
+        for g in &published.groups {
+            for a in 0..g.qid_rows.len() {
+                for b in (a + 1)..g.qid_rows.len() {
+                    total += overlap(&g.qid_rows[a], &g.qid_rows[b]);
+                }
+            }
+        }
+        total
+    }
+
+    /// A release whose groups draw their rows from a small pool, so large
+    /// groups are full of duplicate rows. Only `qid_rows` matters here.
+    fn release_from_pool(pool: &[Vec<ItemId>], groups: &[Vec<usize>]) -> PublishedDataset {
+        PublishedDataset {
+            n_items: 24,
+            sensitive_items: Vec::new(),
+            groups: groups
+                .iter()
+                .map(|picks| AnonymizedGroup {
+                    members: (0..picks.len() as u32).collect(),
+                    qid_rows: picks
+                        .iter()
+                        .map(|&k| pool[k % pool.len()].clone())
+                        .collect(),
+                    sensitive_counts: Vec::new(),
+                })
+                .collect(),
+        }
+    }
+
+    fn arb_groups() -> impl Strategy<Value = Vec<Vec<usize>>> {
+        collection::vec(collection::vec(0usize..64, 0..160), 1..5)
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+
+        #[test]
+        fn counting_overlap_matches_pairwise_merge(
+            pool in collection::vec(collection::btree_set(0u32..24, 0..8), 1..40),
+            groups in arb_groups(),
+        ) {
+            let pool: Vec<Vec<ItemId>> = pool.into_iter().map(|s| s.into_iter().collect()).collect();
+            let release = release_from_pool(&pool, &groups);
+            prop_assert_eq!(intra_group_overlap(&release), pairwise_overlap(&release));
+        }
+
+        #[test]
+        fn hostile_rows_count_as_sets(
+            pool in collection::vec(collection::vec(0usize..8, 0..8), 1..40),
+            groups in arb_groups(),
+        ) {
+            // Unsorted rows, repeated ids and ids far beyond `n_items`.
+            const IDS: [ItemId; 8] = [3, 0, 7, 300, 1 << 24, u32::MAX - 1, u32::MAX, 0x00ff_ff00];
+            let pool: Vec<Vec<ItemId>> =
+                pool.iter().map(|row| row.iter().map(|&k| IDS[k]).collect()).collect();
+            let release = release_from_pool(&pool, &groups);
+            let mut as_sets = release.clone();
+            for row in as_sets.groups.iter_mut().flat_map(|g| g.qid_rows.iter_mut()) {
+                row.sort_unstable();
+                row.dedup();
+            }
+            prop_assert_eq!(intra_group_overlap(&release), pairwise_overlap(&as_sets));
+        }
+    }
 
     /// Two groups built badly on purpose: each mixes the two QID blocks.
     fn mixed_release() -> (TransactionSet, SensitiveSet, PublishedDataset) {

@@ -99,7 +99,7 @@ pub fn dense_config(scale: f64) -> QuestConfig {
 /// millions of edges, while the inverted index walks the same graph
 /// from ~tens of MB of postings. The universe is wide and the rows
 /// short and untailed on purpose: the implicit backend's one-shot exact
-/// degree pass costs `sum(support^2)` over the items (its traversals
+/// degree pass costs up to `sum(support^2)` over the items (its traversals
 /// are segment-deduplicated down to O(nnz) per sweep), so item supports
 /// must grow slowly with the row count for million-row orderings to
 /// stay in seconds.

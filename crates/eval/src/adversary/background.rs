@@ -112,8 +112,12 @@ pub fn background_point(
     let n_items = data.n_items();
     let mut postings: Vec<Vec<u32>> = vec![Vec::new(); n_items];
     for (r, row) in flat.rows.iter().enumerate() {
+        // A tampered release may carry ids beyond the data's universe; no
+        // victim knows such an item, so it cannot score.
         for &item in row {
-            postings[item as usize].push(r as u32);
+            if let Some(posting) = postings.get_mut(item as usize) {
+                posting.push(r as u32);
+            }
         }
     }
     let weight: Vec<f64> = postings

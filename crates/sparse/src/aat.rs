@@ -22,7 +22,7 @@
 //!   clique at most once per declared segment, so a whole frontier
 //!   expansion costs O(nnz) enumeration — the `k^2` cliques never
 //!   materialize in time either; only the one-shot exact degree pass
-//!   pays `sum(support^2)`.
+//!   walks whole posting cliques, once per distinct multi-item row.
 //!
 //! [`RowGraphMode`] selects between them (`auto` estimates the directed
 //! edge count first and materializes only small graphs); an optional
@@ -370,62 +370,79 @@ fn hub_skipped(support: usize, hub_cap: Option<u32>) -> bool {
     }
 }
 
-/// Exact distinct-neighbor degrees under the hub cap, one contiguous row
-/// chunk per worker. Each worker owns its own mark array, so the counts
-/// are exact and the output is byte-identical at every thread count.
+/// Exact distinct-neighbor degrees under the hub cap.
+///
+/// Two exact reductions keep most rows out of the stamped pass: a
+/// single-item row is adjacent to the rest of its item's posting list
+/// (nothing when the item is hub-capped), and identical rows have
+/// identical degrees. Identical rows are found through a sorted row-index
+/// permutation before the work is split, so the stamped pass runs once
+/// per distinct multi-item row, one contiguous chunk of them per worker.
+/// Each worker owns its own mark array, so the output is byte-identical at
+/// every thread count.
 fn bulk_degrees(
     rows: &CsrMatrix,
     cols: &CsrMatrix,
     hub_cap: Option<u32>,
     threads: usize,
 ) -> Vec<u32> {
-    let n = rows.n_rows();
-    let threads = threads.max(1).min(n.max(1));
-    if threads <= 1 {
-        return degree_chunk(rows, cols, hub_cap, 0, n);
+    let row = |v: &u32| rows.row(*v as usize);
+    let mut degrees = vec![0u32; rows.n_rows()];
+    let mut order: Vec<u32> = Vec::new();
+    for ((v, d), items) in (0u32..).zip(&mut degrees).zip(rows.rows()) {
+        match *items {
+            [] => {}
+            [item] => {
+                let support = cols.row_len(item as usize);
+                if !hub_skipped(support, hub_cap) {
+                    *d = (support - 1) as u32;
+                }
+            }
+            _ => order.push(v),
+        }
     }
-    let chunk = n.div_ceil(threads).max(1);
-    let parts: Vec<Vec<u32>> = std::thread::scope(|scope| {
-        let handles: Vec<_> = (0..n.div_ceil(chunk))
-            .map(|wi| {
-                let lo = wi * chunk;
-                let hi = (lo + chunk).min(n);
-                scope.spawn(move || degree_chunk(rows, cols, hub_cap, lo, hi))
-            })
-            .collect();
-        handles
-            .into_iter()
-            .map(|h| {
-                h.join()
-                    // cahd-lint: allow(L003, reason = "worker panics only propagate caller bugs; degree_chunk itself cannot panic on in-range rows")
-                    .expect("bulk degree worker panicked")
-            })
-            .collect()
-    });
-    let mut out = Vec::with_capacity(n);
-    for p in parts {
-        out.extend_from_slice(&p);
+    order.sort_unstable_by(|a, b| row(a).cmp(row(b)));
+    let distinct: Vec<u32> = order
+        .chunk_by(|a, b| row(a) == row(b))
+        .map(|run| run[0])
+        .collect();
+    let threads = threads.max(1).min(distinct.len().max(1));
+    let chunk = distinct.len().div_ceil(threads).max(1);
+    let parts: Vec<Vec<u32>> = if threads <= 1 {
+        vec![degree_chunk(rows, cols, hub_cap, &distinct)]
+    } else {
+        std::thread::scope(|scope| {
+            let handles: Vec<_> = distinct
+                .chunks(chunk)
+                .map(|part| scope.spawn(move || degree_chunk(rows, cols, hub_cap, part)))
+                .collect();
+            handles
+                .into_iter()
+                .map(|h| {
+                    h.join()
+                        // cahd-lint: allow(L003, reason = "worker panics only propagate caller bugs; degree_chunk itself cannot panic on in-range rows")
+                        .expect("bulk degree worker panicked")
+                })
+                .collect()
+        })
+    };
+    let runs = order.chunk_by(|a, b| row(a) == row(b));
+    for (run, d) in runs.zip(parts.into_iter().flatten()) {
+        for &v in run {
+            degrees[v as usize] = d;
+        }
     }
-    out
+    degrees
 }
 
-/// Degrees of rows `lo..hi`: stamped dedup over the posting lists.
-fn degree_chunk(
-    rows: &CsrMatrix,
-    cols: &CsrMatrix,
-    hub_cap: Option<u32>,
-    lo: usize,
-    hi: usize,
-) -> Vec<u32> {
-    let n = rows.n_rows();
-    let mut mark = vec![0u32; n];
-    let mut stamp = 0u32;
-    let mut out = Vec::with_capacity(hi - lo);
-    for v in lo..hi {
-        stamp += 1;
-        mark[v] = stamp;
+/// Degrees of the rows `vs`: stamped dedup over the posting lists.
+fn degree_chunk(rows: &CsrMatrix, cols: &CsrMatrix, hub_cap: Option<u32>, vs: &[u32]) -> Vec<u32> {
+    let mut mark = vec![0u32; rows.n_rows()];
+    let mut out = Vec::with_capacity(vs.len());
+    for (stamp, &v) in (1u32..).zip(vs) {
+        mark[v as usize] = stamp;
         let mut d = 0u32;
-        for &item in rows.row(v) {
+        for &item in rows.row(v as usize) {
             let list = cols.row(item as usize);
             if hub_skipped(list.len(), hub_cap) {
                 continue;
@@ -920,6 +937,65 @@ mod tests {
         o.neighbors_scratch(v, &mut o.new_scratch(), &mut out);
         out.sort_unstable();
         out
+    }
+
+    /// The former per-row stamped degree loop, kept as the oracle for
+    /// [`bulk_degrees`].
+    fn per_row_degrees(rows: &CsrMatrix, cols: &CsrMatrix, hub_cap: Option<u32>) -> Vec<u32> {
+        let n = rows.n_rows();
+        let mut mark = vec![0u32; n];
+        let mut out = Vec::with_capacity(n);
+        for v in 0..n {
+            let stamp = v as u32 + 1;
+            mark[v] = stamp;
+            let mut d = 0u32;
+            for &item in rows.row(v) {
+                let list = cols.row(item as usize);
+                if hub_skipped(list.len(), hub_cap) {
+                    continue;
+                }
+                for &r in list {
+                    if mark[r as usize] != stamp {
+                        mark[r as usize] = stamp;
+                        d += 1;
+                    }
+                }
+            }
+            out.push(d);
+        }
+        out
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(256))]
+
+        /// Rows are drawn from a small pool of short rows, so the matrix is
+        /// rich in duplicate, empty and single-item rows.
+        #[test]
+        fn bulk_degrees_match_per_row_loop(
+            n_cols in 1usize..12,
+            pool in proptest::collection::vec(proptest::collection::vec(0u32..64, 0..4), 1..12),
+            picks in proptest::collection::vec(0usize..64, 0..80),
+            cap in 1u32..6,
+        ) {
+            let pool: Vec<Vec<u32>> = pool
+                .iter()
+                .map(|row| row.iter().map(|&i| i % n_cols as u32).collect())
+                .collect();
+            let picked: Vec<Vec<u32>> = picks.iter().map(|&k| pool[k % pool.len()].clone()).collect();
+            let a = CsrMatrix::from_rows(&picked, n_cols);
+            let cols = a.transpose();
+            for hub_cap in [None, Some(cap)] {
+                let expected = per_row_degrees(&a, &cols, hub_cap);
+                for threads in [1usize, 2, 8] {
+                    proptest::prop_assert_eq!(
+                        bulk_degrees(&a, &cols, hub_cap, threads),
+                        expected.clone(),
+                        "threads {}, hub cap {:?}", threads, hub_cap
+                    );
+                }
+            }
+        }
     }
 
     #[test]

@@ -102,3 +102,79 @@ fn dat_roundtrip_through_disk() {
     // exact.
     assert_eq!(back, data);
 }
+
+/// Characters behind every JSON escape, plus multi-byte code points.
+const SPECIAL: [char; 13] = [
+    '"', '\\', '/', '\n', '\r', '\t', '\u{8}', '\u{c}', '\u{0}', '\u{1f}', 'é', '€', '😀',
+];
+
+/// Strings mixing escapable characters, printable ASCII and any Unicode
+/// scalar value (surrogate draws become U+FFFD).
+fn arb_string() -> impl proptest::prelude::Strategy<Value = String> {
+    use proptest::prelude::*;
+    proptest::collection::vec((0u8..3, 0u32..0x11_0000), 0..48).prop_map(|cs| {
+        cs.into_iter()
+            .map(|(kind, x)| match kind {
+                0 => SPECIAL[x as usize % SPECIAL.len()],
+                1 => char::from_u32(0x20 + x % 0x5f).unwrap(),
+                _ => char::from_u32(x).unwrap_or('\u{fffd}'),
+            })
+            .collect()
+    })
+}
+
+/// Encodes `s` as a JSON string literal, picking per character among its
+/// raw form (when JSON allows it), its short escape and a `\uXXXX`
+/// escape (basic-plane characters only, in either hex case).
+fn escape_variously(s: &str, picks: &[u8]) -> String {
+    let mut out = String::from('"');
+    for (c, &pick) in s.chars().zip(picks.iter().cycle()) {
+        let mut forms = Vec::new();
+        if c != '"' && c != '\\' && c >= ' ' {
+            forms.push(c.to_string());
+        }
+        let short = match c {
+            '"' => Some("\\\""),
+            '\\' => Some("\\\\"),
+            '/' => Some("\\/"),
+            '\n' => Some("\\n"),
+            '\r' => Some("\\r"),
+            '\t' => Some("\\t"),
+            '\u{8}' => Some("\\b"),
+            '\u{c}' => Some("\\f"),
+            _ => None,
+        };
+        forms.extend(short.map(str::to_string));
+        if (c as u32) < 0x1_0000 {
+            forms.push(format!("\\u{:04x}", c as u32));
+            forms.push(format!("\\u{:04X}", c as u32));
+        }
+        out.push_str(&forms[pick as usize % forms.len()]);
+    }
+    out.push('"');
+    out
+}
+
+proptest::proptest! {
+    #![proptest_config(proptest::prelude::ProptestConfig::with_cases(256))]
+
+    #[test]
+    fn json_strings_round_trip(s in arb_string()) {
+        let json = serde_json::to_string(&s).unwrap();
+        proptest::prop_assert_eq!(serde_json::from_str::<String>(&json).unwrap(), s.clone());
+        // Object keys take the same path.
+        let v = serde_json::Value::Object(vec![(s.clone(), serde_json::Value::Str(s))]);
+        let back: serde_json::Value =
+            serde_json::from_str(&serde_json::to_string_pretty(&v).unwrap()).unwrap();
+        proptest::prop_assert_eq!(back, v);
+    }
+
+    #[test]
+    fn json_string_escapes_decode(
+        s in arb_string(),
+        picks in proptest::collection::vec(0u8..=255, 1..16),
+    ) {
+        let literal = escape_variously(&s, &picks);
+        proptest::prop_assert_eq!(serde_json::from_str::<String>(&literal).unwrap(), s);
+    }
+}
