@@ -34,11 +34,9 @@ fn nesting_bomb_is_a_parse_error_not_a_crash() {
     assert!(stderr.contains("nesting"), "{stderr}");
 }
 
-/// Rows with an id far beyond `n_items`, unsorted ids and repeated ids:
-/// every pass, band-quality's overlap count included, must run to a
-/// report that names the tampering.
-#[test]
-fn check_survives_tampered_qid_rows() {
+/// A copy of the demo release with an id far beyond `n_items`, unsorted
+/// ids and repeated ids in its QID rows.
+fn tampered_rows(name: &str) -> PathBuf {
     let text = std::fs::read_to_string(fixture("demo_release.json")).unwrap();
     let mut release: PublishedDataset = serde_json::from_str(&text).unwrap();
     let rows = &mut release.groups[0].qid_rows;
@@ -49,8 +47,16 @@ fn check_survives_tampered_qid_rows() {
     let last = release.groups.len() - 1;
     release.groups[last].qid_rows[0] = vec![u32::MAX, 7, 7, 0, u32::MAX];
 
-    let tampered = tmp("tampered_rows.json");
+    let tampered = tmp(name);
     std::fs::write(&tampered, serde_json::to_string(&release).unwrap()).unwrap();
+    tampered
+}
+
+/// Every pass, band-quality's overlap count included, must run to a
+/// report that names the tampering.
+#[test]
+fn check_survives_tampered_qid_rows() {
+    let tampered = tampered_rows("tampered_rows.json");
     let data = fixture("demo.dat");
     let out = cli(&[
         "check",
@@ -65,4 +71,24 @@ fn check_survives_tampered_qid_rows() {
     let stdout = String::from_utf8_lossy(&out.stdout);
     assert!(stdout.contains("CAHD-Q001"), "{stdout}");
     assert!(stdout.contains("band-quality"), "{stdout}");
+}
+
+/// The KL workload and the attack replay read the same rows through the
+/// release index: both must finish (exit 0 or 1), never panic.
+#[test]
+fn evaluate_and_attack_survive_tampered_qid_rows() {
+    let tampered = tampered_rows("tampered_rows_eval.json");
+    let data = fixture("demo.dat");
+    let (data, release) = (data.to_str().unwrap(), tampered.to_str().unwrap());
+    let runs = [
+        cli(&["evaluate", data, release, "--queries", "50", "--attack"]),
+        cli(&["attack", data, release, "--p", "4", "--json"]),
+        cli(&["attack", data, release, release, "--p", "4", "--k", "1,2,3"]),
+    ];
+    std::fs::remove_file(&tampered).ok();
+    for out in runs {
+        assert!(matches!(out.status.code(), Some(0 | 1)), "{out:?}");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert!(!stderr.contains("panicked"), "{stderr}");
+    }
 }

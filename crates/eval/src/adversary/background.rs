@@ -26,51 +26,206 @@ use cahd_core::PublishedDataset;
 use cahd_data::{ItemId, SensitiveSet, TransactionSet};
 
 use super::{AttackPlan, CurvePoint};
+use crate::index::ReleaseIndex;
 
-/// The flattened view both variants score against: one QID row per
-/// original transaction, plus (for releases) the owning group and its
-/// worst-case sensitive posterior.
-struct FlatRows {
-    /// Sorted QID item sets, one per row.
-    rows: Vec<Vec<ItemId>>,
-    /// Posterior the attacker obtains by claiming each row: for a release
-    /// row, `max_s f_s / |G|` of its group; for a raw row, 1.0 when the
-    /// transaction carries any sensitive item.
+/// What the attacker scores against, built once per target and shared by
+/// every `k`: the target's row index, each item's weight
+/// `1 / ln(1 + support)` (rare, identifying items dominate the score),
+/// the items she could plausibly mis-remember, and the posterior a claim
+/// of each group yields.
+pub(crate) struct Background<'a> {
+    index: &'a ReleaseIndex,
+    weight: Vec<f64>,
+    qid_universe: Vec<ItemId>,
+    /// For a release group, `max_s f_s / |G|`; for a raw row (its own
+    /// group), 1.0 when the transaction carries any sensitive item.
     claim_posterior: Vec<f64>,
 }
 
-fn flatten_release(published: &PublishedDataset) -> FlatRows {
-    let mut rows = Vec::with_capacity(published.n_transactions());
-    let mut claim_posterior = Vec::with_capacity(published.n_transactions());
-    for g in &published.groups {
-        let size = g.size() as f64;
-        let worst = g
-            .sensitive_counts
-            .iter()
-            .map(|&(_, f)| f as f64 / size)
-            .fold(0.0f64, f64::max);
-        for row in &g.qid_rows {
-            rows.push(row.clone());
-            claim_posterior.push(worst);
+impl<'a> Background<'a> {
+    /// The attacker's view of `published` (`None`: the raw data), whose
+    /// rows `index` indexes ([`ReleaseIndex::new`] or [`ReleaseIndex::raw`]).
+    pub(crate) fn new(
+        data: &TransactionSet,
+        sensitive: &SensitiveSet,
+        published: Option<&PublishedDataset>,
+        index: &'a ReleaseIndex,
+    ) -> Self {
+        let n_items = data.n_items() as u32;
+        let weight = (0..n_items)
+            .map(|i| match index.postings(i).len() {
+                0 => 0.0,
+                n => 1.0 / (1.0 + n as f64).ln(),
+            })
+            .collect();
+        // Items an attacker could plausibly mis-remember: any QID item that
+        // occurs in the target.
+        let qid_universe = (0..n_items)
+            .filter(|&i| !sensitive.contains(i) && !index.postings(i).is_empty())
+            .collect();
+        let claim_posterior = match published {
+            Some(release) => release
+                .groups
+                .iter()
+                .map(|g| {
+                    let size = g.size() as f64;
+                    g.sensitive_counts
+                        .iter()
+                        .map(|&(_, f)| f as f64 / size)
+                        .fold(0.0f64, f64::max)
+                })
+                .collect(),
+            None => data
+                .iter()
+                .map(|txn| {
+                    if txn.iter().any(|&i| sensitive.contains(i)) {
+                        1.0
+                    } else {
+                        0.0
+                    }
+                })
+                .collect(),
+        };
+        Background {
+            index,
+            weight,
+            qid_universe,
+            claim_posterior,
         }
     }
-    FlatRows {
-        rows,
-        claim_posterior,
-    }
-}
 
-fn flatten_raw(data: &TransactionSet, sensitive: &SensitiveSet) -> FlatRows {
-    let mut rows = Vec::with_capacity(data.n_transactions());
-    let mut claim_posterior = Vec::with_capacity(data.n_transactions());
-    for t in 0..data.n_transactions() {
-        let (qid, sens) = sensitive.split_transaction(data.transaction(t));
-        rows.push(qid);
-        claim_posterior.push(if sens.is_empty() { 0.0 } else { 1.0 });
-    }
-    FlatRows {
-        rows,
-        claim_posterior,
+    /// One curve point of the background attack: `plan.trials` victims,
+    /// `k` known items (`plan.wrong_items` of them corrupted),
+    /// eccentricity threshold `plan.phi`.
+    pub(crate) fn point(
+        &self,
+        data: &TransactionSet,
+        sensitive: &SensitiveSet,
+        k: usize,
+        plan: &AttackPlan,
+        seed: u64,
+    ) -> CurvePoint {
+        if k == 0 || plan.trials == 0 {
+            return CurvePoint::empty(k);
+        }
+        let victims = crate::attack::eligible_victims(data, sensitive, k);
+        let n_rows = self.index.n_rows();
+        if victims.is_empty() || n_rows == 0 {
+            return CurvePoint::empty(k);
+        }
+        let qid_universe = &self.qid_universe;
+
+        let mut rng = StdRng::seed_from_u64(seed);
+        let mut score = vec![0.0f64; n_rows];
+        let mut marked = vec![false; n_rows];
+        let mut touched: Vec<u32> = Vec::new();
+
+        let mut matches = 0usize;
+        let mut successes = 0usize;
+        let mut unique = 0usize;
+        let mut sum_posterior = 0.0f64;
+        let mut max_posterior = 0.0f64;
+        for _ in 0..plan.trials {
+            let v = victims[rng.gen_range(0..victims.len())] as usize;
+            let (mut qid, v_sens) = sensitive.split_transaction(data.transaction(v));
+            debug_assert!(!v_sens.is_empty());
+            for i in 0..k {
+                let j = rng.gen_range(i..qid.len());
+                qid.swap(i, j);
+            }
+            let mut known: Vec<ItemId> = qid[..k].to_vec();
+            // Corrupt the tail of the knowledge with random non-member items.
+            let wrong = plan.wrong_items.min(k);
+            for slot in known.iter_mut().rev().take(wrong) {
+                if qid_universe.is_empty() {
+                    break;
+                }
+                for _ in 0..8 {
+                    let candidate = qid_universe[rng.gen_range(0..qid_universe.len())];
+                    if !data.contains(v, candidate) {
+                        *slot = candidate;
+                        break;
+                    }
+                }
+            }
+
+            for &item in &known {
+                let w = self.weight[item as usize];
+                for &r in self.index.postings(item) {
+                    if !marked[r as usize] {
+                        marked[r as usize] = true;
+                        touched.push(r);
+                    }
+                    score[r as usize] += w;
+                }
+            }
+            touched.sort_unstable();
+
+            // Best and runner-up over *all* rows (untouched rows score 0);
+            // sigma over the same population. Ties break to the lowest row.
+            let mut best = 0.0f64;
+            let mut best_row = usize::MAX;
+            let mut second = 0.0f64;
+            let mut n_best = 0usize;
+            let mut sum = 0.0f64;
+            let mut sumsq = 0.0f64;
+            for &r in &touched {
+                let s = score[r as usize];
+                sum += s;
+                sumsq += s * s;
+                if s > best {
+                    second = best;
+                    best = s;
+                    best_row = r as usize;
+                    n_best = 1;
+                } else if s == best {
+                    n_best += 1;
+                    second = second.max(s);
+                } else if s > second {
+                    second = s;
+                }
+            }
+            if touched.len() < n_rows {
+                // The implicit zeros participate in runner-up and sigma.
+                second = second.max(0.0);
+            }
+            let n = n_rows as f64;
+            let mean = sum / n;
+            let sigma = (sumsq / n - mean * mean).max(0.0).sqrt();
+            if best > 0.0 && n_best == 1 {
+                unique += 1;
+            }
+            let claimed =
+                best_row != usize::MAX && sigma > 0.0 && (best - second) / sigma >= plan.phi;
+            if claimed {
+                matches += 1;
+                let posterior = self.claim_posterior[self.index.group_of(best_row)];
+                sum_posterior += posterior;
+                max_posterior = max_posterior.max(posterior);
+                if self.index.row(best_row) == qid_of(data, sensitive, v) {
+                    successes += 1;
+                }
+            }
+
+            for &r in &touched {
+                score[r as usize] = 0.0;
+                marked[r as usize] = false;
+            }
+            touched.clear();
+        }
+        CurvePoint {
+            k,
+            trials: plan.trials,
+            matches,
+            successes,
+            unique_matches: unique,
+            mean_posterior: if matches == 0 {
+                0.0
+            } else {
+                sum_posterior / matches as f64
+            },
+            max_posterior,
+        }
     }
 }
 
@@ -85,167 +240,11 @@ pub fn background_point(
     plan: &AttackPlan,
     seed: u64,
 ) -> CurvePoint {
-    if k == 0 || plan.trials == 0 {
-        return CurvePoint::empty(k);
-    }
-    let victims: Vec<u32> = (0..data.n_transactions())
-        .filter(|&t| {
-            let (qid, sens) = sensitive.split_transaction(data.transaction(t));
-            !sens.is_empty() && qid.len() >= k
-        })
-        .map(|t| t as u32)
-        .collect();
-    if victims.is_empty() {
-        return CurvePoint::empty(k);
-    }
-    let flat = match published {
-        Some(release) => flatten_release(release),
-        None => flatten_raw(data, sensitive),
+    let index = match published {
+        Some(release) => ReleaseIndex::new(release, data.n_items()),
+        None => ReleaseIndex::raw(data, sensitive),
     };
-    let n_rows = flat.rows.len();
-    if n_rows == 0 {
-        return CurvePoint::empty(k);
-    }
-
-    // Posting lists over the flattened rows; the weight of an item is
-    // 1 / ln(1 + support), so rare (identifying) items dominate the score.
-    let n_items = data.n_items();
-    let mut postings: Vec<Vec<u32>> = vec![Vec::new(); n_items];
-    for (r, row) in flat.rows.iter().enumerate() {
-        // A tampered release may carry ids beyond the data's universe; no
-        // victim knows such an item, so it cannot score.
-        for &item in row {
-            if let Some(posting) = postings.get_mut(item as usize) {
-                posting.push(r as u32);
-            }
-        }
-    }
-    let weight: Vec<f64> = postings
-        .iter()
-        .map(|p| {
-            if p.is_empty() {
-                0.0
-            } else {
-                1.0 / (1.0 + p.len() as f64).ln()
-            }
-        })
-        .collect();
-    // Items an attacker could plausibly mis-remember: any QID item that
-    // occurs in the data.
-    let qid_universe: Vec<ItemId> = (0..n_items as u32)
-        .filter(|&i| !sensitive.contains(i) && !postings[i as usize].is_empty())
-        .collect();
-
-    let mut rng = StdRng::seed_from_u64(seed);
-    let mut score = vec![0.0f64; n_rows];
-    let mut marked = vec![false; n_rows];
-    let mut touched: Vec<u32> = Vec::new();
-
-    let mut matches = 0usize;
-    let mut successes = 0usize;
-    let mut unique = 0usize;
-    let mut sum_posterior = 0.0f64;
-    let mut max_posterior = 0.0f64;
-    for _ in 0..plan.trials {
-        let v = victims[rng.gen_range(0..victims.len())] as usize;
-        let (mut qid, v_sens) = sensitive.split_transaction(data.transaction(v));
-        debug_assert!(!v_sens.is_empty());
-        for i in 0..k {
-            let j = rng.gen_range(i..qid.len());
-            qid.swap(i, j);
-        }
-        let mut known: Vec<ItemId> = qid[..k].to_vec();
-        // Corrupt the tail of the knowledge with random non-member items.
-        let wrong = plan.wrong_items.min(k);
-        for slot in known.iter_mut().rev().take(wrong) {
-            if qid_universe.is_empty() {
-                break;
-            }
-            for _ in 0..8 {
-                let candidate = qid_universe[rng.gen_range(0..qid_universe.len())];
-                if !data.contains(v, candidate) {
-                    *slot = candidate;
-                    break;
-                }
-            }
-        }
-
-        for &item in &known {
-            let w = weight[item as usize];
-            for &r in &postings[item as usize] {
-                if !marked[r as usize] {
-                    marked[r as usize] = true;
-                    touched.push(r);
-                }
-                score[r as usize] += w;
-            }
-        }
-        touched.sort_unstable();
-
-        // Best and runner-up over *all* rows (untouched rows score 0);
-        // sigma over the same population. Ties break to the lowest row.
-        let mut best = 0.0f64;
-        let mut best_row = usize::MAX;
-        let mut second = 0.0f64;
-        let mut n_best = 0usize;
-        let mut sum = 0.0f64;
-        let mut sumsq = 0.0f64;
-        for &r in &touched {
-            let s = score[r as usize];
-            sum += s;
-            sumsq += s * s;
-            if s > best {
-                second = best;
-                best = s;
-                best_row = r as usize;
-                n_best = 1;
-            } else if s == best {
-                n_best += 1;
-                second = second.max(s);
-            } else if s > second {
-                second = s;
-            }
-        }
-        if touched.len() < n_rows {
-            // The implicit zeros participate in runner-up and sigma.
-            second = second.max(0.0);
-        }
-        let n = n_rows as f64;
-        let mean = sum / n;
-        let sigma = (sumsq / n - mean * mean).max(0.0).sqrt();
-        if best > 0.0 && n_best == 1 {
-            unique += 1;
-        }
-        let claimed = best_row != usize::MAX && sigma > 0.0 && (best - second) / sigma >= plan.phi;
-        if claimed {
-            matches += 1;
-            let posterior = flat.claim_posterior[best_row];
-            sum_posterior += posterior;
-            max_posterior = max_posterior.max(posterior);
-            if flat.rows[best_row] == qid_of(data, sensitive, v) {
-                successes += 1;
-            }
-        }
-
-        for &r in &touched {
-            score[r as usize] = 0.0;
-            marked[r as usize] = false;
-        }
-        touched.clear();
-    }
-    CurvePoint {
-        k,
-        trials: plan.trials,
-        matches,
-        successes,
-        unique_matches: unique,
-        mean_posterior: if matches == 0 {
-            0.0
-        } else {
-            sum_posterior / matches as f64
-        },
-        max_posterior,
-    }
+    Background::new(data, sensitive, published, &index).point(data, sensitive, k, plan, seed)
 }
 
 fn qid_of(data: &TransactionSet, sensitive: &SensitiveSet, t: usize) -> Vec<ItemId> {
@@ -253,8 +252,230 @@ fn qid_of(data: &TransactionSet, sensitive: &SensitiveSet, t: usize) -> Vec<Item
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
+
+    /// The flattened view both variants score against: one QID row per
+    /// original transaction, plus (for releases) the owning group and its
+    /// worst-case sensitive posterior.
+    struct FlatRows {
+        /// Sorted QID item sets, one per row.
+        rows: Vec<Vec<ItemId>>,
+        /// Posterior the attacker obtains by claiming each row: for a release
+        /// row, `max_s f_s / |G|` of its group; for a raw row, 1.0 when the
+        /// transaction carries any sensitive item.
+        claim_posterior: Vec<f64>,
+    }
+
+    fn flatten_release(published: &PublishedDataset) -> FlatRows {
+        let mut rows = Vec::with_capacity(published.n_transactions());
+        let mut claim_posterior = Vec::with_capacity(published.n_transactions());
+        for g in &published.groups {
+            let size = g.size() as f64;
+            let worst = g
+                .sensitive_counts
+                .iter()
+                .map(|&(_, f)| f as f64 / size)
+                .fold(0.0f64, f64::max);
+            for row in &g.qid_rows {
+                rows.push(row.clone());
+                claim_posterior.push(worst);
+            }
+        }
+        FlatRows {
+            rows,
+            claim_posterior,
+        }
+    }
+
+    fn flatten_raw(data: &TransactionSet, sensitive: &SensitiveSet) -> FlatRows {
+        let mut rows = Vec::with_capacity(data.n_transactions());
+        let mut claim_posterior = Vec::with_capacity(data.n_transactions());
+        for t in 0..data.n_transactions() {
+            let (qid, sens) = sensitive.split_transaction(data.transaction(t));
+            rows.push(qid);
+            claim_posterior.push(if sens.is_empty() { 0.0 } else { 1.0 });
+        }
+        FlatRows {
+            rows,
+            claim_posterior,
+        }
+    }
+
+    /// The scan [`background_point`] replaced: every curve point flattens
+    /// the target and rebuilds its posting lists. Kept as the equivalence
+    /// oracle.
+    pub(crate) fn background_point_scan(
+        data: &TransactionSet,
+        sensitive: &SensitiveSet,
+        published: Option<&PublishedDataset>,
+        k: usize,
+        plan: &AttackPlan,
+        seed: u64,
+    ) -> CurvePoint {
+        if k == 0 || plan.trials == 0 {
+            return CurvePoint::empty(k);
+        }
+        let victims: Vec<u32> = (0..data.n_transactions())
+            .filter(|&t| {
+                let (qid, sens) = sensitive.split_transaction(data.transaction(t));
+                !sens.is_empty() && qid.len() >= k
+            })
+            .map(|t| t as u32)
+            .collect();
+        if victims.is_empty() {
+            return CurvePoint::empty(k);
+        }
+        let flat = match published {
+            Some(release) => flatten_release(release),
+            None => flatten_raw(data, sensitive),
+        };
+        let n_rows = flat.rows.len();
+        if n_rows == 0 {
+            return CurvePoint::empty(k);
+        }
+
+        // Posting lists over the flattened rows; the weight of an item is
+        // 1 / ln(1 + support), so rare (identifying) items dominate the score.
+        let n_items = data.n_items();
+        let mut postings: Vec<Vec<u32>> = vec![Vec::new(); n_items];
+        for (r, row) in flat.rows.iter().enumerate() {
+            // A tampered release may carry ids beyond the data's universe; no
+            // victim knows such an item, so it cannot score.
+            for &item in row {
+                if let Some(posting) = postings.get_mut(item as usize) {
+                    posting.push(r as u32);
+                }
+            }
+        }
+        let weight: Vec<f64> = postings
+            .iter()
+            .map(|p| {
+                if p.is_empty() {
+                    0.0
+                } else {
+                    1.0 / (1.0 + p.len() as f64).ln()
+                }
+            })
+            .collect();
+        // Items an attacker could plausibly mis-remember: any QID item that
+        // occurs in the data.
+        let qid_universe: Vec<ItemId> = (0..n_items as u32)
+            .filter(|&i| !sensitive.contains(i) && !postings[i as usize].is_empty())
+            .collect();
+
+        let mut rng = StdRng::seed_from_u64(seed);
+        let mut score = vec![0.0f64; n_rows];
+        let mut marked = vec![false; n_rows];
+        let mut touched: Vec<u32> = Vec::new();
+
+        let mut matches = 0usize;
+        let mut successes = 0usize;
+        let mut unique = 0usize;
+        let mut sum_posterior = 0.0f64;
+        let mut max_posterior = 0.0f64;
+        for _ in 0..plan.trials {
+            let v = victims[rng.gen_range(0..victims.len())] as usize;
+            let (mut qid, v_sens) = sensitive.split_transaction(data.transaction(v));
+            debug_assert!(!v_sens.is_empty());
+            for i in 0..k {
+                let j = rng.gen_range(i..qid.len());
+                qid.swap(i, j);
+            }
+            let mut known: Vec<ItemId> = qid[..k].to_vec();
+            // Corrupt the tail of the knowledge with random non-member items.
+            let wrong = plan.wrong_items.min(k);
+            for slot in known.iter_mut().rev().take(wrong) {
+                if qid_universe.is_empty() {
+                    break;
+                }
+                for _ in 0..8 {
+                    let candidate = qid_universe[rng.gen_range(0..qid_universe.len())];
+                    if !data.contains(v, candidate) {
+                        *slot = candidate;
+                        break;
+                    }
+                }
+            }
+
+            for &item in &known {
+                let w = weight[item as usize];
+                for &r in &postings[item as usize] {
+                    if !marked[r as usize] {
+                        marked[r as usize] = true;
+                        touched.push(r);
+                    }
+                    score[r as usize] += w;
+                }
+            }
+            touched.sort_unstable();
+
+            // Best and runner-up over *all* rows (untouched rows score 0);
+            // sigma over the same population. Ties break to the lowest row.
+            let mut best = 0.0f64;
+            let mut best_row = usize::MAX;
+            let mut second = 0.0f64;
+            let mut n_best = 0usize;
+            let mut sum = 0.0f64;
+            let mut sumsq = 0.0f64;
+            for &r in &touched {
+                let s = score[r as usize];
+                sum += s;
+                sumsq += s * s;
+                if s > best {
+                    second = best;
+                    best = s;
+                    best_row = r as usize;
+                    n_best = 1;
+                } else if s == best {
+                    n_best += 1;
+                    second = second.max(s);
+                } else if s > second {
+                    second = s;
+                }
+            }
+            if touched.len() < n_rows {
+                // The implicit zeros participate in runner-up and sigma.
+                second = second.max(0.0);
+            }
+            let n = n_rows as f64;
+            let mean = sum / n;
+            let sigma = (sumsq / n - mean * mean).max(0.0).sqrt();
+            if best > 0.0 && n_best == 1 {
+                unique += 1;
+            }
+            let claimed =
+                best_row != usize::MAX && sigma > 0.0 && (best - second) / sigma >= plan.phi;
+            if claimed {
+                matches += 1;
+                let posterior = flat.claim_posterior[best_row];
+                sum_posterior += posterior;
+                max_posterior = max_posterior.max(posterior);
+                if flat.rows[best_row] == qid_of(data, sensitive, v) {
+                    successes += 1;
+                }
+            }
+
+            for &r in &touched {
+                score[r as usize] = 0.0;
+                marked[r as usize] = false;
+            }
+            touched.clear();
+        }
+        CurvePoint {
+            k,
+            trials: plan.trials,
+            matches,
+            successes,
+            unique_matches: unique,
+            mean_posterior: if matches == 0 {
+                0.0
+            } else {
+                sum_posterior / matches as f64
+            },
+            max_posterior,
+        }
+    }
     use cahd_core::{cahd, verify_published, CahdConfig};
 
     fn setup() -> (TransactionSet, SensitiveSet) {

@@ -22,12 +22,12 @@
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use serde::{Deserialize, Serialize};
-use std::collections::BTreeSet;
 
 use cahd_core::PublishedDataset;
 use cahd_data::{ItemId, SensitiveSet, TransactionSet};
 
 use super::CurvePoint;
+use crate::index::ReleaseIndex;
 
 /// Outcome of composing one set of releases at one knowledge size.
 #[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
@@ -85,45 +85,43 @@ impl IntersectionReport {
 }
 
 /// Per-release candidate evidence for one trial: the distinct matching
-/// QID contents and the averaged per-sensitive-item posterior vector.
-struct Evidence<'a> {
-    contents: BTreeSet<&'a [ItemId]>,
+/// QID contents (sorted content ids of the release's index, hence sorted
+/// by content) and the averaged per-sensitive-item posterior vector.
+struct Evidence {
+    contents: Vec<u32>,
     posterior: Vec<f64>,
 }
 
-fn evidence<'a>(
-    release: &'a PublishedDataset,
+fn evidence(
+    release: &PublishedDataset,
+    index: &ReleaseIndex,
     known: &[ItemId],
     n_sensitive: usize,
     index_of: &dyn Fn(ItemId) -> Option<usize>,
-) -> Option<Evidence<'a>> {
-    let mut contents: BTreeSet<&[ItemId]> = BTreeSet::new();
+    candidates: &mut Vec<u32>,
+) -> Option<Evidence> {
+    index.rows_with_all(known, candidates);
+    if candidates.is_empty() {
+        return None;
+    }
     let mut posterior = vec![0.0f64; n_sensitive];
-    let mut n_candidates = 0usize;
-    for g in &release.groups {
-        let mut b = 0usize;
-        for row in &g.qid_rows {
-            if known.iter().all(|i| row.binary_search(i).is_ok()) {
-                b += 1;
-                contents.insert(row.as_slice());
-            }
-        }
-        if b == 0 {
-            continue;
-        }
-        n_candidates += b;
+    for (g, b) in index.group_counts(candidates) {
+        let g = &release.groups[g];
         for &(item, f) in &g.sensitive_counts {
             if let Some(rank) = index_of(item) {
                 posterior[rank] += b as f64 * f as f64 / g.size() as f64;
             }
         }
     }
-    if n_candidates == 0 {
-        return None;
-    }
     for p in &mut posterior {
-        *p /= n_candidates as f64;
+        *p /= candidates.len() as f64;
     }
+    let mut contents: Vec<u32> = candidates
+        .iter()
+        .map(|&r| index.content_of(r as usize))
+        .collect();
+    contents.sort_unstable();
+    contents.dedup();
     Some(Evidence {
         contents,
         posterior,
@@ -140,23 +138,37 @@ pub fn intersection_report(
     trials: usize,
     seed: u64,
 ) -> IntersectionReport {
+    let indexes: Vec<ReleaseIndex> = releases
+        .iter()
+        .map(|r| ReleaseIndex::new(r, data.n_items()))
+        .collect();
+    let indexed: Vec<(&PublishedDataset, &ReleaseIndex)> =
+        releases.iter().copied().zip(&indexes).collect();
+    intersection_indexed(data, sensitive, &indexed, names, k, trials, seed)
+}
+
+/// [`intersection_report`] over prebuilt indexes of the releases.
+pub(crate) fn intersection_indexed(
+    data: &TransactionSet,
+    sensitive: &SensitiveSet,
+    releases: &[(&PublishedDataset, &ReleaseIndex)],
+    names: &[String],
+    k: usize,
+    trials: usize,
+    seed: u64,
+) -> IntersectionReport {
     let targets: Vec<String> = names.to_vec();
     if k == 0 || trials == 0 || releases.is_empty() {
         return IntersectionReport::empty(targets, k);
     }
-    let victims: Vec<u32> = (0..data.n_transactions())
-        .filter(|&t| {
-            let (qid, sens) = sensitive.split_transaction(data.transaction(t));
-            !sens.is_empty() && qid.len() >= k
-        })
-        .map(|t| t as u32)
-        .collect();
+    let victims = crate::attack::eligible_victims(data, sensitive, k);
     if victims.is_empty() {
         return IntersectionReport::empty(targets, k);
     }
     let index_of = |item: ItemId| sensitive.index_of(item);
 
     let mut rng = StdRng::seed_from_u64(seed);
+    let mut candidates: Vec<u32> = Vec::new();
     let mut composed_trials = 0usize;
     let mut narrowed_trials = 0usize;
     let mut unique = 0usize;
@@ -173,8 +185,15 @@ pub fn intersection_report(
         let known = &qid[..k];
 
         let mut per_release = Vec::with_capacity(releases.len());
-        for release in releases {
-            match evidence(release, known, sensitive.len(), &index_of) {
+        for &(release, index) in releases {
+            match evidence(
+                release,
+                index,
+                known,
+                sensitive.len(),
+                &index_of,
+                &mut candidates,
+            ) {
                 Some(e) => per_release.push(e),
                 None => {
                     per_release.clear();
@@ -189,15 +208,30 @@ pub fn intersection_report(
         }
         composed_trials += 1;
 
-        // Candidate narrowing by QID-content intersection.
+        // Candidate narrowing by QID-content intersection: content ids
+        // are lexicographic ranks, so each release's list is sorted by
+        // content and the lists merge like sorted sets.
         let min_contents = per_release
             .iter()
             .map(|e| e.contents.len())
             .min()
             .unwrap_or(0);
-        let mut intersected = per_release[0].contents.clone();
-        for e in &per_release[1..] {
-            intersected = intersected.intersection(&e.contents).copied().collect();
+        let first = releases[0].1;
+        let mut intersected: Vec<&[ItemId]> = per_release[0]
+            .contents
+            .iter()
+            .map(|&c| first.content_items(c))
+            .collect();
+        for (e, &(_, index)) in per_release[1..].iter().zip(&releases[1..]) {
+            let mut other = e
+                .contents
+                .iter()
+                .map(|&c| index.content_items(c))
+                .peekable();
+            intersected.retain(|&set| {
+                while other.next_if(|&o| o < set).is_some() {}
+                other.next_if_eq(&set).is_some()
+            });
         }
         if intersected.len() < min_contents {
             narrowed_trials += 1;
@@ -252,8 +286,177 @@ pub fn intersection_report(
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
+    use std::collections::BTreeSet;
+
+    /// Per-release candidate evidence for one trial: the distinct matching
+    /// QID contents and the averaged per-sensitive-item posterior vector.
+    struct ScanEvidence<'a> {
+        contents: BTreeSet<&'a [ItemId]>,
+        posterior: Vec<f64>,
+    }
+
+    fn evidence_scan<'a>(
+        release: &'a PublishedDataset,
+        known: &[ItemId],
+        n_sensitive: usize,
+        index_of: &dyn Fn(ItemId) -> Option<usize>,
+    ) -> Option<ScanEvidence<'a>> {
+        let mut contents: BTreeSet<&[ItemId]> = BTreeSet::new();
+        let mut posterior = vec![0.0f64; n_sensitive];
+        let mut n_candidates = 0usize;
+        for g in &release.groups {
+            let mut b = 0usize;
+            for row in &g.qid_rows {
+                if known.iter().all(|i| row.binary_search(i).is_ok()) {
+                    b += 1;
+                    contents.insert(row.as_slice());
+                }
+            }
+            if b == 0 {
+                continue;
+            }
+            n_candidates += b;
+            for &(item, f) in &g.sensitive_counts {
+                if let Some(rank) = index_of(item) {
+                    posterior[rank] += b as f64 * f as f64 / g.size() as f64;
+                }
+            }
+        }
+        if n_candidates == 0 {
+            return None;
+        }
+        for p in &mut posterior {
+            *p /= n_candidates as f64;
+        }
+        Some(ScanEvidence {
+            contents,
+            posterior,
+        })
+    }
+
+    /// The scan [`intersection_report`] replaced: every trial tests every
+    /// row of every release. Kept as the equivalence oracle.
+    pub(crate) fn intersection_report_scan(
+        data: &TransactionSet,
+        sensitive: &SensitiveSet,
+        releases: &[&PublishedDataset],
+        names: &[String],
+        k: usize,
+        trials: usize,
+        seed: u64,
+    ) -> IntersectionReport {
+        let targets: Vec<String> = names.to_vec();
+        if k == 0 || trials == 0 || releases.is_empty() {
+            return IntersectionReport::empty(targets, k);
+        }
+        let victims: Vec<u32> = (0..data.n_transactions())
+            .filter(|&t| {
+                let (qid, sens) = sensitive.split_transaction(data.transaction(t));
+                !sens.is_empty() && qid.len() >= k
+            })
+            .map(|t| t as u32)
+            .collect();
+        if victims.is_empty() {
+            return IntersectionReport::empty(targets, k);
+        }
+        let index_of = |item: ItemId| sensitive.index_of(item);
+
+        let mut rng = StdRng::seed_from_u64(seed);
+        let mut composed_trials = 0usize;
+        let mut narrowed_trials = 0usize;
+        let mut unique = 0usize;
+        let mut successes = 0usize;
+        let mut sum_top = 0.0f64;
+        let mut max_composed = 0.0f64;
+        for _ in 0..trials {
+            let v = victims[rng.gen_range(0..victims.len())] as usize;
+            let (mut qid, v_sens) = sensitive.split_transaction(data.transaction(v));
+            for i in 0..k {
+                let j = rng.gen_range(i..qid.len());
+                qid.swap(i, j);
+            }
+            let known = &qid[..k];
+
+            let mut per_release = Vec::with_capacity(releases.len());
+            for release in releases {
+                match evidence_scan(release, known, sensitive.len(), &index_of) {
+                    Some(e) => per_release.push(e),
+                    None => {
+                        per_release.clear();
+                        break;
+                    }
+                }
+            }
+            if per_release.is_empty() {
+                // Row churn: the victim is absent from some release, so no
+                // composed claim is possible this trial.
+                continue;
+            }
+            composed_trials += 1;
+
+            // Candidate narrowing by QID-content intersection.
+            let min_contents = per_release
+                .iter()
+                .map(|e| e.contents.len())
+                .min()
+                .unwrap_or(0);
+            let mut intersected = per_release[0].contents.clone();
+            for e in &per_release[1..] {
+                intersected = intersected.intersection(&e.contents).copied().collect();
+            }
+            if intersected.len() < min_contents {
+                narrowed_trials += 1;
+            }
+            if intersected.len() == 1 {
+                unique += 1;
+            }
+
+            // Independent-release composition: product of per-release
+            // posteriors, renormalized over the sensitive items.
+            let mut composed = vec![1.0f64; sensitive.len()];
+            for e in &per_release {
+                for (c, &q) in composed.iter_mut().zip(e.posterior.iter()) {
+                    *c *= q;
+                }
+            }
+            let total: f64 = composed.iter().sum();
+            if total > 0.0 {
+                for c in &mut composed {
+                    *c /= total;
+                }
+                let mut top = 0.0f64;
+                let mut top_rank = 0usize;
+                for (rank, &c) in composed.iter().enumerate() {
+                    if c > top {
+                        top = c;
+                        top_rank = rank;
+                    }
+                    max_composed = max_composed.max(c);
+                }
+                sum_top += top;
+                if top > 0.0 && v_sens.contains(&top_rank) {
+                    successes += 1;
+                }
+            }
+        }
+        IntersectionReport {
+            targets,
+            k,
+            trials,
+            composed_trials,
+            narrowed_trials,
+            unique_matches: unique,
+            successes,
+            mean_composed_posterior: if composed_trials == 0 {
+                0.0
+            } else {
+                sum_top / composed_trials as f64
+            },
+            max_composed_posterior: max_composed,
+        }
+    }
     use cahd_baselines::{perm_mondrian, random_grouping, PmConfig};
     use cahd_core::{cahd, CahdConfig};
 

@@ -30,14 +30,20 @@
 //! single-release attacker must stay under it.
 
 pub mod background;
+#[cfg(test)]
+mod equivalence;
 pub mod intersection;
 pub mod vulnerable;
 
+use rand::rngs::StdRng;
+use rand::SeedableRng;
 use serde::{Deserialize, Serialize};
 
 use cahd_core::PublishedDataset;
 use cahd_data::{SensitiveSet, TransactionSet};
 use cahd_obs::Recorder;
+
+use crate::index::ReleaseIndex;
 
 pub use intersection::IntersectionReport;
 pub use vulnerable::{VulnerableReport, VulnerableRow};
@@ -246,6 +252,10 @@ fn stream(attacker: u64, target: usize, k: usize) -> u64 {
 /// returns the curves and detail reports. Deterministic in
 /// `(data, sensitive, targets, plan)`: every curve point derives its own
 /// RNG stream, so attacker subsets and call order cannot perturb results.
+///
+/// Each target's rows are indexed once ([`ReleaseIndex`]) and every
+/// attacker and `k` reads that one index; the release indexes are kept
+/// for the multi-release composition at the end.
 pub fn run_attack_suite(
     data: &TransactionSet,
     sensitive: &SensitiveSet,
@@ -255,16 +265,28 @@ pub fn run_attack_suite(
 ) -> AttackReport {
     let mut curves = Vec::new();
     let mut vulnerable = Vec::new();
+    let mut composable: Vec<(&str, &PublishedDataset, ReleaseIndex)> = Vec::new();
     for (ti, t) in targets.iter().enumerate() {
-        if plan.wants(ATTACKER_BACKGROUND) {
+        let index = match t.published {
+            Some(release)
+                if plan.wants(ATTACKER_BACKGROUND)
+                    || plan.wants(ATTACKER_LINKAGE)
+                    || plan.wants(ATTACKER_INTERSECTION) =>
+            {
+                Some(ReleaseIndex::new(release, data.n_items()))
+            }
+            None if plan.wants(ATTACKER_BACKGROUND) => Some(ReleaseIndex::raw(data, sensitive)),
+            _ => None,
+        };
+        if let (true, Some(index)) = (plan.wants(ATTACKER_BACKGROUND), &index) {
+            let attacker = background::Background::new(data, sensitive, t.published, index);
             let points = plan
                 .ks
                 .iter()
                 .map(|&k| {
-                    background::background_point(
+                    attacker.point(
                         data,
                         sensitive,
-                        t.published,
                         k,
                         plan,
                         derive_seed(plan.seed, stream(0, ti, k)),
@@ -282,14 +304,21 @@ pub fn run_attack_suite(
                 .ks
                 .iter()
                 .map(|&k| {
-                    linkage_point(
-                        data,
-                        sensitive,
-                        t.published,
-                        k,
-                        plan.trials,
-                        derive_seed(plan.seed, stream(1, ti, k)),
-                    )
+                    let seed = derive_seed(plan.seed, stream(1, ti, k));
+                    let mut rng = StdRng::seed_from_u64(seed);
+                    let outcome = match (t.published, &index) {
+                        (Some(release), Some(index)) => crate::attack::attack_indexed(
+                            data,
+                            sensitive,
+                            release,
+                            index,
+                            k,
+                            plan.trials,
+                            &mut rng,
+                        ),
+                        _ => crate::attack_raw(data, sensitive, k, plan.trials, &mut rng),
+                    };
+                    linkage_point(k, outcome)
                 })
                 .collect();
             curves.push(SuccessCurve {
@@ -298,32 +327,39 @@ pub fn run_attack_suite(
                 points,
             });
         }
-        if plan.wants(ATTACKER_INTERSECTION) {
-            if let Some(published) = t.published {
-                // Self-composition: the one-release degenerate case keeps
-                // the (attacker x target) curve grid complete.
-                let points = plan
-                    .ks
-                    .iter()
-                    .map(|&k| {
-                        intersection::intersection_report(
-                            data,
-                            sensitive,
-                            &[published],
-                            std::slice::from_ref(&t.name),
-                            k,
-                            plan.trials,
-                            derive_seed(plan.seed, stream(2, ti, k)),
-                        )
-                        .to_point(k)
-                    })
-                    .collect();
-                curves.push(SuccessCurve {
-                    attacker: ATTACKER_INTERSECTION.to_string(),
-                    target: t.name.clone(),
-                    points,
-                });
-            }
+        if let (true, Some(published), Some(index)) =
+            (plan.wants(ATTACKER_INTERSECTION), t.published, &index)
+        {
+            // Self-composition: the one-release degenerate case keeps
+            // the (attacker x target) curve grid complete.
+            let points = plan
+                .ks
+                .iter()
+                .map(|&k| {
+                    intersection::intersection_indexed(
+                        data,
+                        sensitive,
+                        &[(published, index)],
+                        std::slice::from_ref(&t.name),
+                        k,
+                        plan.trials,
+                        derive_seed(plan.seed, stream(2, ti, k)),
+                    )
+                    .to_point(k)
+                })
+                .collect();
+            curves.push(SuccessCurve {
+                attacker: ATTACKER_INTERSECTION.to_string(),
+                target: t.name.clone(),
+                points,
+            });
+        }
+        // Keep the index for the composition, or free it before the
+        // scan below builds its own structures.
+        if let (true, Some(published), Some(index)) =
+            (plan.wants(ATTACKER_INTERSECTION), t.published, index)
+        {
+            composable.push((t.name.as_str(), published, index));
         }
         if plan.wants(ATTACKER_VULNERABLE) {
             let report = vulnerable::vulnerable_scan(data, sensitive, t.published, p, plan.epsilon);
@@ -338,25 +374,23 @@ pub fn run_attack_suite(
         }
     }
     let mut intersections = Vec::new();
-    if plan.wants(ATTACKER_INTERSECTION) {
-        let released: Vec<(&str, &PublishedDataset)> = targets
+    if composable.len() >= 2 {
+        let releases: Vec<(&PublishedDataset, &ReleaseIndex)> =
+            composable.iter().map(|(_, r, ix)| (*r, ix)).collect();
+        let names: Vec<String> = composable
             .iter()
-            .filter_map(|t| t.published.map(|r| (t.name.as_str(), r)))
+            .map(|(n, _, _)| (*n).to_string())
             .collect();
-        if released.len() >= 2 {
-            let releases: Vec<&PublishedDataset> = released.iter().map(|(_, r)| *r).collect();
-            let names: Vec<String> = released.iter().map(|(n, _)| (*n).to_string()).collect();
-            for (ki, &k) in plan.ks.iter().enumerate() {
-                intersections.push(intersection::intersection_report(
-                    data,
-                    sensitive,
-                    &releases,
-                    &names,
-                    k,
-                    plan.trials,
-                    derive_seed(plan.seed, stream(3, targets.len() + ki, k)),
-                ));
-            }
+        for (ki, &k) in plan.ks.iter().enumerate() {
+            intersections.push(intersection::intersection_indexed(
+                data,
+                sensitive,
+                &releases,
+                &names,
+                k,
+                plan.trials,
+                derive_seed(plan.seed, stream(3, targets.len() + ki, k)),
+            ));
         }
     }
     AttackReport {
@@ -469,21 +503,7 @@ pub fn unique_match_violations(report: &AttackReport, budget: f64) -> Vec<String
 /// Adapts the naive linkage attacker (`crate::attack`) to a curve point:
 /// a "claim" is every trial, a "success" is a unique match (full row
 /// re-identification).
-fn linkage_point(
-    data: &TransactionSet,
-    sensitive: &SensitiveSet,
-    published: Option<&PublishedDataset>,
-    k: usize,
-    trials: usize,
-    seed: u64,
-) -> CurvePoint {
-    use rand::rngs::StdRng;
-    use rand::SeedableRng;
-    let mut rng = StdRng::seed_from_u64(seed);
-    let outcome = match published {
-        Some(release) => crate::attack_published(data, sensitive, release, k, trials, &mut rng),
-        None => crate::attack_raw(data, sensitive, k, trials, &mut rng),
-    };
+fn linkage_point(k: usize, outcome: Option<crate::AttackOutcome>) -> CurvePoint {
     match outcome {
         None => CurvePoint::empty(k),
         Some(o) => {

@@ -162,6 +162,7 @@ pub fn vulnerable_scan(
             .then(a.transaction.cmp(&b.transaction))
     });
     rows.truncate(WORST_ROWS);
+    rows.shrink_to_fit();
     VulnerableReport {
         target: String::new(),
         epsilon,

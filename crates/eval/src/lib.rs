@@ -9,6 +9,9 @@
 //! * [`cells`] — the `2^r` presence/absence cells of a group-by query,
 //! * [`reconstruct`] — the actual and estimated probability distribution
 //!   functions (the estimate uses `a * b / |G|` per group, eq. 2),
+//! * [`index`] — the release index (posting lists, group ranges and
+//!   content ids over the published QID rows) that the workload runner
+//!   and the adversaries share,
 //! * [`kl`] — KL divergence between actual and estimated PDFs, with the
 //!   additive smoothing the metric needs on empty estimated cells,
 //! * [`reident`] — the re-identification probability experiment of
@@ -23,6 +26,7 @@ pub mod attack;
 pub mod bootstrap;
 pub mod cells;
 pub mod estimate;
+pub mod index;
 pub mod kl;
 pub mod mining;
 pub mod query;
@@ -39,6 +43,7 @@ pub use adversary::{
 pub use attack::{attack_published, attack_raw, AttackOutcome};
 pub use bootstrap::{bootstrap_mean_ci, paired_bootstrap_less, BootstrapInterval};
 pub use estimate::{estimate_count, CountEstimate};
+pub use index::ReleaseIndex;
 pub use kl::{kl_divergence, DEFAULT_SMOOTHING};
 pub use mining::{frequent_itemsets, top_k_itemsets, Itemset};
 pub use query::{
@@ -48,6 +53,6 @@ pub use reconstruct::{actual_pdf, estimated_pdf};
 pub use reident::reidentification_probability;
 pub use rules::{confidence_error, mine_rules, published_confidence, AssociationRule};
 pub use runner::{
-    average_relative_error, evaluate_workload, evaluate_workload_threaded,
-    evaluate_workload_traced, workload_kls, ReconstructionSummary,
+    average_relative_error, evaluate_workload, evaluate_workload_traced, workload_kls,
+    ReconstructionSummary,
 };

@@ -4,10 +4,12 @@
 
 use cahd_core::PublishedDataset;
 use cahd_data::TransactionSet;
+use cahd_sparse::CsrMatrix;
 
+use crate::cells::{cell_of, n_cells};
+use crate::index::ReleaseIndex;
 use crate::kl::{kl_divergence, DEFAULT_SMOOTHING};
 use crate::query::GroupByQuery;
-use crate::reconstruct::{actual_pdf, estimated_pdf};
 
 /// Aggregate reconstruction error over a workload.
 #[derive(Clone, Copy, Debug, PartialEq)]
@@ -59,20 +61,21 @@ pub fn evaluate_workload_traced(
 ) -> ReconstructionSummary {
     let _span = rec.span("eval");
     let trace_on = rec.is_enabled();
+    let pdfs = WorkloadPdfs::new(data, published);
     let mut query_ns = cahd_obs::Histogram::new();
     let mut kls: Vec<f64> = Vec::with_capacity(queries.len());
     let mut skipped = 0usize;
     for q in queries {
         // cahd-lint: allow(L002, reason = "guarded by trace_on; feeds the eval.query_ns histogram only")
         let t0 = trace_on.then(std::time::Instant::now);
-        match (actual_pdf(data, q), estimated_pdf(published, q)) {
-            (Some(act), Some(est)) => {
-                kls.push(kl_divergence(&act, &est, DEFAULT_SMOOTHING));
+        match pdfs.kl(q) {
+            Some(kl) => {
+                kls.push(kl);
                 if let Some(t0) = t0 {
                     query_ns.observe(u64::try_from(t0.elapsed().as_nanos()).unwrap_or(u64::MAX));
                 }
             }
-            _ => skipped += 1,
+            None => skipped += 1,
         }
     }
     if trace_on {
@@ -80,41 +83,6 @@ pub fn evaluate_workload_traced(
         rec.add("eval.queries_skipped", skipped as u64);
         rec.record_histogram("eval.query_ns", &query_ns);
     }
-    summarize(&mut kls, skipped)
-}
-
-/// Like [`evaluate_workload`], but computing the per-query KL values with
-/// `threads` workers over contiguous query ranges. Each worker writes into
-/// its own slot range, so the result is identical to the sequential path
-/// for every thread count.
-pub fn evaluate_workload_threaded(
-    data: &TransactionSet,
-    published: &PublishedDataset,
-    queries: &[GroupByQuery],
-    threads: usize,
-) -> ReconstructionSummary {
-    let threads = threads.max(1).min(queries.len().max(1));
-    if threads <= 1 {
-        return evaluate_workload(data, published, queries);
-    }
-    let chunk = queries.len().div_ceil(threads);
-    let mut per_query: Vec<Option<f64>> = vec![None; queries.len()];
-    std::thread::scope(|scope| {
-        for (qs, out) in queries.chunks(chunk).zip(per_query.chunks_mut(chunk)) {
-            scope.spawn(move || {
-                for (q, slot) in qs.iter().zip(out.iter_mut()) {
-                    *slot = match (actual_pdf(data, q), estimated_pdf(published, q)) {
-                        (Some(act), Some(est)) => {
-                            Some(kl_divergence(&act, &est, DEFAULT_SMOOTHING))
-                        }
-                        _ => None,
-                    };
-                }
-            });
-        }
-    });
-    let mut kls: Vec<f64> = per_query.into_iter().flatten().collect();
-    let skipped = queries.len() - kls.len();
     summarize(&mut kls, skipped)
 }
 
@@ -128,15 +96,8 @@ pub fn workload_kls(
     published: &PublishedDataset,
     queries: &[GroupByQuery],
 ) -> Vec<Option<f64>> {
-    queries
-        .iter()
-        .map(
-            |q| match (actual_pdf(data, q), estimated_pdf(published, q)) {
-                (Some(act), Some(est)) => Some(kl_divergence(&act, &est, DEFAULT_SMOOTHING)),
-                _ => None,
-            },
-        )
-        .collect()
+    let pdfs = WorkloadPdfs::new(data, published);
+    queries.iter().map(|q| pdfs.kl(q)).collect()
 }
 
 /// Average relative error of COUNT queries — the utility metric of the
@@ -149,10 +110,11 @@ pub fn average_relative_error(
     published: &PublishedDataset,
     queries: &[GroupByQuery],
 ) -> Option<f64> {
+    let pdfs = WorkloadPdfs::new(data, published);
     let mut total = 0.0;
     let mut n = 0usize;
     for q in queries {
-        let (Some(act), Some(est)) = (actual_pdf(data, q), estimated_pdf(published, q)) else {
+        let Some((act, est)) = pdfs.pdfs(q) else {
             continue;
         };
         for (&a, &e) in act.iter().zip(&est) {
@@ -163,6 +125,53 @@ pub fn average_relative_error(
         }
     }
     (n > 0).then(|| total / n as f64)
+}
+
+/// The indexes one workload's queries read: the data's inverted index for
+/// actual PDFs and the release index for estimated ones, each built once.
+struct WorkloadPdfs<'a> {
+    data: &'a TransactionSet,
+    by_item: CsrMatrix,
+    release: ReleaseIndex,
+}
+
+impl<'a> WorkloadPdfs<'a> {
+    fn new(data: &'a TransactionSet, published: &PublishedDataset) -> Self {
+        WorkloadPdfs {
+            data,
+            by_item: data.inverted_index(),
+            release: ReleaseIndex::new(published, data.n_items()),
+        }
+    }
+
+    /// The actual and estimated PDFs of one query, bit for bit those of
+    /// [`actual_pdf`] and [`estimated_pdf`] on well-formed rows; `None`
+    /// when either is undefined.
+    ///
+    /// [`actual_pdf`]: crate::reconstruct::actual_pdf
+    /// [`estimated_pdf`]: crate::reconstruct::estimated_pdf
+    fn pdfs(&self, q: &GroupByQuery) -> Option<(Vec<f64>, Vec<f64>)> {
+        let s = q.sensitive as usize;
+        if s >= self.by_item.n_rows() {
+            return None;
+        }
+        let holders = self.by_item.row(s);
+        if holders.is_empty() {
+            return None;
+        }
+        let mut counts = vec![0u64; n_cells(q.r())];
+        for &t in holders {
+            counts[cell_of(self.data.transaction(t as usize), &q.qid) as usize] += 1;
+        }
+        let total = holders.len() as f64;
+        let act = counts.iter().map(|&c| c as f64 / total).collect();
+        Some((act, self.release.estimated_pdf(q)?))
+    }
+
+    fn kl(&self, q: &GroupByQuery) -> Option<f64> {
+        self.pdfs(q)
+            .map(|(act, est)| kl_divergence(&act, &est, DEFAULT_SMOOTHING))
+    }
 }
 
 fn summarize(kls: &mut [f64], skipped: usize) -> ReconstructionSummary {
@@ -294,29 +303,6 @@ mod tests {
         assert_eq!(kls.len(), 2);
         assert!(kls[0].is_some());
         assert!(kls[1].is_none());
-    }
-
-    #[test]
-    fn threaded_evaluation_matches_sequential() {
-        let (data, _, good, bad) = setup();
-        let queries: Vec<GroupByQuery> = vec![
-            GroupByQuery::new(4, vec![0]),
-            GroupByQuery::new(4, vec![1]),
-            GroupByQuery::new(3, vec![0]), // absent -> skipped
-            GroupByQuery::new(4, vec![0, 1]),
-        ];
-        for published in [&good, &bad] {
-            let seq = evaluate_workload(&data, published, &queries);
-            for threads in [1usize, 2, 3, 16] {
-                let par = evaluate_workload_threaded(&data, published, &queries, threads);
-                assert_eq!(seq, par, "threads={threads}");
-            }
-        }
-        // Degenerate inputs: empty workload, zero threads.
-        let empty = evaluate_workload_threaded(&data, &good, &[], 8);
-        assert_eq!(empty.n_queries, 0);
-        let zero = evaluate_workload_threaded(&data, &good, &queries, 0);
-        assert_eq!(zero, evaluate_workload(&data, &good, &queries));
     }
 
     #[test]
