@@ -4,10 +4,7 @@
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 
 use cahd_data::profiles;
-use cahd_rcm::{
-    band_order_seq, reduce_unsymmetric, reverse_cuthill_mckee, reverse_cuthill_mckee_linear,
-    AatMethod, OrderingStrategy, UnsymOptions,
-};
+use cahd_rcm::{band_order, reduce_unsymmetric, AatMethod, OrderingStrategy, UnsymOptions};
 use cahd_sparse::RowGraph;
 
 fn bench_rcm_correlation(c: &mut Criterion) {
@@ -40,28 +37,14 @@ fn bench_explicit_vs_implicit(c: &mut Criterion) {
     g.bench_function("explicit", |b| {
         b.iter(|| {
             let graph = RowGraph::build(data.matrix(), usize::MAX);
-            band_order_seq(&graph, OrderingStrategy::Rcm)
+            band_order(&graph, OrderingStrategy::Rcm, 1)
         });
     });
     g.bench_function("implicit", |b| {
         b.iter(|| {
             let graph = RowGraph::build(data.matrix(), 0);
-            band_order_seq(&graph, OrderingStrategy::Rcm)
+            band_order(&graph, OrderingStrategy::Rcm, 1)
         });
-    });
-    g.finish();
-}
-
-fn bench_linear_vs_comparison(c: &mut Criterion) {
-    let data = profiles::bms1_like(0.1, 7);
-    let graph = RowGraph::build_explicit(data.matrix());
-    let mut g = c.benchmark_group("rcm/cm_variant");
-    g.sample_size(10);
-    g.bench_function("comparison_sort", |b| {
-        b.iter(|| reverse_cuthill_mckee(&graph));
-    });
-    g.bench_function("counting_sort", |b| {
-        b.iter(|| reverse_cuthill_mckee_linear(&graph));
     });
     g.finish();
 }
@@ -92,7 +75,6 @@ criterion_group!(
     bench_rcm_correlation,
     bench_rcm_dataset_scale,
     bench_explicit_vs_implicit,
-    bench_linear_vs_comparison,
     bench_aat_methods
 );
 criterion_main!(benches);

@@ -525,6 +525,16 @@ fn anonymize_weighted_cmd(args: &Args, p: usize, seed: u64) -> Result<String, Cl
 /// Builds the cahd engine configuration shared by the plain, robust and
 /// streaming anonymize paths.
 fn anonymizer_config_from_args(args: &Args, p: usize) -> Result<AnonymizerConfig, CliError> {
+    if args.has("no-rcm") {
+        if let Some(flag) = ["ordering", "rowgraph", "hub-cap"]
+            .into_iter()
+            .find(|f| args.has(f))
+        {
+            return Err(CliError::Usage(format!(
+                "--no-rcm skips the ordering phase, so --{flag} would be ignored"
+            )));
+        }
+    }
     let mut cfg = AnonymizerConfig::with_privacy_degree(p)
         .with_ordering(ordering_from_args(args)?)
         .with_rowgraph(rowgraph_from_args(args)?)

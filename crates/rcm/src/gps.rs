@@ -18,7 +18,7 @@
 //! `rcm/aat_representation`-style benches and `ext-orderings` harness
 //! accept any [`cahd_sparse::Permutation`]).
 
-use cahd_sparse::{NeighborOracle, Permutation};
+use cahd_sparse::{OracleScratch, ParNeighborOracle, Permutation};
 
 use crate::level::LevelStructure;
 use crate::peripheral::pseudo_peripheral_with_scratch;
@@ -26,11 +26,12 @@ use crate::peripheral::pseudo_peripheral_with_scratch;
 /// Computes the GPS ordering of `g`, returned like
 /// [`crate::reverse_cuthill_mckee`] (the `new_to_old` view is the vertex
 /// ordering). Handles disconnected graphs component by component.
-pub fn gibbs_poole_stockmeyer(g: &impl NeighborOracle) -> Permutation {
+pub fn gibbs_poole_stockmeyer(g: &impl ParNeighborOracle) -> Permutation {
     let n = g.n_vertices();
     let mut order: Vec<u32> = Vec::with_capacity(n);
     let mut mark = vec![0u32; n];
     let mut stamp = 0u32;
+    let mut scratch = g.new_scratch();
     let mut assigned = vec![false; n];
 
     for start in 0..n {
@@ -38,7 +39,8 @@ pub fn gibbs_poole_stockmeyer(g: &impl NeighborOracle) -> Permutation {
             continue;
         }
         // --- Step 1: pseudo-diameter endpoints u (root) and v. ---
-        let (_u, lu) = pseudo_peripheral_with_scratch(g, start as u32, &mut mark, &mut stamp);
+        let (_u, lu) =
+            pseudo_peripheral_with_scratch(g, start as u32, &mut mark, &mut stamp, &mut scratch);
         let v = *lu
             .last_level()
             .iter()
@@ -46,7 +48,7 @@ pub fn gibbs_poole_stockmeyer(g: &impl NeighborOracle) -> Permutation {
             // cahd-lint: allow(L003, reason = "a BFS level structure rooted at u always has a non-empty last level (it contains u at minimum)")
             .expect("non-empty level");
         stamp += 1;
-        let lv = LevelStructure::build(g, v, &mut mark, stamp);
+        let lv = LevelStructure::build(g, v, &mut mark, stamp, &mut scratch);
         let ecc = lu.eccentricity();
 
         // --- Step 2: combined level assignment. ---
@@ -76,7 +78,15 @@ pub fn gibbs_poole_stockmeyer(g: &impl NeighborOracle) -> Permutation {
             }
         }
         if !undecided.is_empty() {
-            assign_undecided(g, &undecided, &level_u, &level_v, &mut level, ecc, n);
+            assign_undecided(
+                g,
+                &undecided,
+                &level_u,
+                &level_v,
+                &mut level,
+                ecc,
+                &mut scratch,
+            );
         }
 
         // --- Step 3: number level by level, by increasing degree within a
@@ -108,15 +118,16 @@ pub fn gibbs_poole_stockmeyer(g: &impl NeighborOracle) -> Permutation {
 /// or v-levels) whose level sizes it inflates less — the GPS width
 /// criterion.
 fn assign_undecided(
-    g: &impl NeighborOracle,
+    g: &impl ParNeighborOracle,
     undecided: &[u32],
     level_u: &[usize],
     level_v: &[usize],
     level: &mut [usize],
     ecc: usize,
-    n: usize,
+    scratch: &mut OracleScratch,
 ) {
     // Current level populations from the already-fixed vertices.
+    let n = level.len();
     let n_levels = ecc + 1;
     let mut pop = vec![0usize; n_levels];
     for w in 0..n {
@@ -147,7 +158,7 @@ fn assign_undecided(
             let w = queue[head] as usize;
             head += 1;
             nbrs.clear();
-            g.neighbors_into(w, &mut nbrs);
+            g.neighbors_scratch(w, scratch, &mut nbrs);
             for &x in &nbrs {
                 if in_undecided[x as usize] && !seen[x as usize] {
                     seen[x as usize] = true;

@@ -6,15 +6,15 @@
 //! (nearly) maximal eccentricity, because deep, narrow level structures
 //! produce orderings with small bandwidth.
 
-use cahd_sparse::NeighborOracle;
+use cahd_sparse::{OracleScratch, ParNeighborOracle};
 
 /// A BFS level structure rooted at some vertex, confined to that vertex's
 /// connected component.
 #[derive(Clone, Debug)]
 pub struct LevelStructure {
     root: u32,
-    /// Concatenated vertices, level by level (each level in discovery
-    /// order).
+    /// Concatenated vertices, level by level (each level in parent
+    /// order, each parent's batch ascending).
     verts: Vec<u32>,
     /// `offsets[k]..offsets[k+1]` indexes level `k` in `verts`.
     offsets: Vec<usize>,
@@ -26,7 +26,19 @@ impl LevelStructure {
     /// `mark`/`stamp` implement O(1) reusable visited flags: a vertex is
     /// visited iff `mark[v] == stamp`. The caller increments `stamp` between
     /// unrelated traversals and keeps `mark.len() == g.n_vertices()`.
-    pub fn build(g: &impl NeighborOracle, root: u32, mark: &mut [u32], stamp: u32) -> Self {
+    /// `scratch` must come from `g.new_scratch()`.
+    ///
+    /// Each parent's fresh neighbors are appended in ascending id order,
+    /// so the level order is a function of the graph alone, never of the
+    /// order the oracle enumerates neighbors in (the frontier engine's
+    /// within-parent rule).
+    pub fn build(
+        g: &impl ParNeighborOracle,
+        root: u32,
+        mark: &mut [u32],
+        stamp: u32,
+        scratch: &mut OracleScratch,
+    ) -> Self {
         debug_assert_eq!(mark.len(), g.n_vertices());
         let mut verts: Vec<u32> = vec![root];
         let mut offsets: Vec<usize> = vec![0];
@@ -39,13 +51,15 @@ impl LevelStructure {
             for i in level_start..level_end {
                 let v = verts[i] as usize;
                 nbrs.clear();
-                g.neighbors_into(v, &mut nbrs);
+                g.neighbors_scratch(v, scratch, &mut nbrs);
+                let fresh_start = verts.len();
                 for &w in &nbrs {
                     if mark[w as usize] != stamp {
                         mark[w as usize] = stamp;
                         verts.push(w);
                     }
                 }
+                verts[fresh_start..].sort_unstable();
             }
             if verts.len() == level_end {
                 break; // no new level
@@ -59,10 +73,11 @@ impl LevelStructure {
         }
     }
 
-    /// Convenience constructor that allocates its own visited flags.
-    pub fn rooted_at(g: &impl NeighborOracle, root: u32) -> Self {
+    /// Convenience constructor that allocates its own visited flags and
+    /// oracle scratch.
+    pub fn rooted_at(g: &impl ParNeighborOracle, root: u32) -> Self {
         let mut mark = vec![0u32; g.n_vertices()];
-        Self::build(g, root, &mut mark, 1)
+        Self::build(g, root, &mut mark, 1, &mut g.new_scratch())
     }
 
     /// Assembles a level structure from pre-computed parts (the parallel
@@ -108,7 +123,8 @@ impl LevelStructure {
         self.verts.len()
     }
 
-    /// The vertices of level `k`, in discovery order.
+    /// The vertices of level `k`, in parent order (each parent's batch
+    /// ascending).
     pub fn level(&self, k: usize) -> &[u32] {
         &self.verts[self.offsets[k]..self.offsets[k + 1]]
     }
@@ -128,6 +144,19 @@ impl LevelStructure {
 mod tests {
     use super::*;
     use cahd_sparse::Graph;
+
+    #[test]
+    fn fresh_neighbors_appended_in_id_order() {
+        // The implicit graph lists row 0's neighbors item by item: row 3
+        // (item 0) before rows 1 and 2 (item 1). The level must not care.
+        let a = cahd_sparse::CsrMatrix::from_rows(&[vec![0, 1], vec![1], vec![1], vec![0]], 2);
+        let im = cahd_sparse::ImplicitRowGraph::new(&a);
+        let mut listed = Vec::new();
+        im.neighbors_scratch(0, &mut im.new_scratch(), &mut listed);
+        assert_eq!(listed, vec![3, 1, 2]);
+        let l = LevelStructure::rooted_at(&im, 0);
+        assert_eq!(l.level(1), &[1, 2, 3]);
+    }
 
     #[test]
     fn path_levels() {
@@ -173,8 +202,9 @@ mod tests {
     fn reusable_marks() {
         let g = Graph::from_edges(3, &[(0, 1), (1, 2)]);
         let mut mark = vec![0u32; 3];
-        let a = LevelStructure::build(&g, 0, &mut mark, 1);
-        let b = LevelStructure::build(&g, 2, &mut mark, 2);
+        let mut scratch = g.new_scratch();
+        let a = LevelStructure::build(&g, 0, &mut mark, 1, &mut scratch);
+        let b = LevelStructure::build(&g, 2, &mut mark, 2, &mut scratch);
         assert_eq!(a.eccentricity(), 2);
         assert_eq!(b.eccentricity(), 2);
     }

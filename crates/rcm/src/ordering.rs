@@ -9,6 +9,8 @@
 //! * [`minhash_order`] — per-row MinHash signatures sorted
 //!   lexicographically: rows with high Jaccard similarity receive similar
 //!   signatures and end up nearby. Linear time, no graph construction.
+//!   [`cluster_order`] is the same sort over a pinned hash family: the
+//!   `--ordering cluster` strategy.
 //! * [`lexicographic_order`] — rows sorted by their item lists. A cheap
 //!   straw-man that clusters shared *prefixes* only.
 //!
@@ -60,13 +62,13 @@ impl RowOrder {
             RowOrder::Identity => Permutation::identity(a.n_rows()),
             RowOrder::Rcm => {
                 let g = cahd_sparse::RowGraph::build(a, cahd_sparse::RowGraph::DEFAULT_EDGE_BUDGET);
-                crate::parallel::band_order_seq(&g, crate::OrderingStrategy::Rcm)
+                crate::band_order(&g, crate::OrderingStrategy::Rcm, 1)
             }
             RowOrder::MinHash => minhash_order(a, 8, seed),
             RowOrder::Lexicographic => lexicographic_order(a),
             RowOrder::Gps => {
                 let g = cahd_sparse::RowGraph::build(a, cahd_sparse::RowGraph::DEFAULT_EDGE_BUDGET);
-                crate::gps::gibbs_poole_stockmeyer(&cahd_sparse::SeqOracle::new(&g))
+                crate::gps::gibbs_poole_stockmeyer(&g)
             }
         }
     }
@@ -88,31 +90,7 @@ fn splitmix64(mut x: u64) -> u64 {
 /// Panics if `n_hashes == 0`.
 pub fn minhash_order(a: &CsrMatrix, n_hashes: usize, seed: u64) -> Permutation {
     assert!(n_hashes > 0, "need at least one hash function");
-    let n = a.n_rows();
-    // Signature matrix, row-major.
-    let mut sig = vec![u64::MAX; n * n_hashes];
-    let hash_seeds: Vec<u64> = (0..n_hashes as u64)
-        .map(|h| splitmix64(seed ^ h.wrapping_mul(0xA24BAED4963EE407)))
-        .collect();
-    for r in 0..n {
-        let s = &mut sig[r * n_hashes..(r + 1) * n_hashes];
-        for &item in a.row(r) {
-            for (h, &hs) in hash_seeds.iter().enumerate() {
-                let v = splitmix64(hs ^ item as u64);
-                if v < s[h] {
-                    s[h] = v;
-                }
-            }
-        }
-    }
-    let mut order: Vec<u32> = (0..n as u32).collect();
-    order.sort_by(|&x, &y| {
-        let sx = &sig[x as usize * n_hashes..(x as usize + 1) * n_hashes];
-        let sy = &sig[y as usize * n_hashes..(y as usize + 1) * n_hashes];
-        sx.cmp(sy).then(x.cmp(&y))
-    });
-    // cahd-lint: allow(L003, reason = "order is a sort of 0..n, which is a permutation by construction")
-    Permutation::from_new_to_old(order).expect("sorted indices are a permutation")
+    signature_order(a, n_hashes, seed, 1)
 }
 
 /// Fixed seed of the [`cluster_order`] hash family. Pinned so the
@@ -126,8 +104,9 @@ pub const CLUSTER_SEED: u64 = 0xCA4D_07D3;
 pub const CLUSTER_HASHES: usize = 16;
 
 /// The cluster-then-order strategy ([`crate::OrderingStrategy::Cluster`]):
-/// rows sorted by fixed-seed MinHash signatures, computed in parallel
-/// over row chunks. Skips the `A x A^T` graph entirely, so its cost is
+/// [`minhash_order`] with the pinned [`CLUSTER_HASHES`]/[`CLUSTER_SEED`]
+/// family, its signatures computed in parallel over row chunks. Skips the
+/// `A x A^T` graph entirely, so its cost is
 /// `O(nnz * CLUSTER_HASHES + n log n)` regardless of row-similarity
 /// density.
 ///
@@ -135,11 +114,19 @@ pub const CLUSTER_HASHES: usize = 16;
 /// signature is a pure function of its items, and the final sort breaks
 /// signature ties by row id.
 pub fn cluster_order(a: &CsrMatrix, threads: usize) -> Permutation {
+    signature_order(a, CLUSTER_HASHES, CLUSTER_SEED, threads)
+}
+
+/// The one MinHash signature sort behind [`minhash_order`] and
+/// [`cluster_order`]: per-row signatures filled by up to `threads`
+/// workers over contiguous row chunks, then rows sorted by signature with
+/// row id breaking ties.
+fn signature_order(a: &CsrMatrix, h: usize, seed: u64, threads: usize) -> Permutation {
     let n = a.n_rows();
-    let h = CLUSTER_HASHES;
     let hash_seeds: Vec<u64> = (0..h as u64)
-        .map(|k| splitmix64(CLUSTER_SEED ^ k.wrapping_mul(0xA24BAED4963EE407)))
+        .map(|k| splitmix64(seed ^ k.wrapping_mul(0xA24BAED4963EE407)))
         .collect();
+    // Signature matrix, row-major.
     let mut sig = vec![u64::MAX; n * h];
     let fill = |rows: std::ops::Range<usize>, sig: &mut [u64]| {
         for (row_off, r) in rows.enumerate() {
@@ -266,6 +253,15 @@ mod tests {
     fn names_unique() {
         let names: std::collections::HashSet<_> = RowOrder::ALL.iter().map(|o| o.name()).collect();
         assert_eq!(names.len(), RowOrder::ALL.len());
+    }
+
+    #[test]
+    fn cluster_order_is_minhash_order_with_the_pinned_family() {
+        let a = blocks();
+        assert_eq!(
+            cluster_order(&a, 3).new_to_old_slice(),
+            minhash_order(&a, CLUSTER_HASHES, CLUSTER_SEED).new_to_old_slice()
+        );
     }
 
     #[test]

@@ -133,9 +133,8 @@ impl FrontierStats {
 /// depends on the oracle's neighbor enumeration order.
 #[derive(Clone, Copy, PartialEq, Eq)]
 enum Within {
-    /// Sort by vertex `id` (level-structure builds). For the explicit
-    /// graph — whose neighbor lists are ascending — this matches
-    /// discovery order exactly, so the sequential reference is unchanged.
+    /// Sort by vertex `id` (level-structure builds; the reference
+    /// [`LevelStructure::build`] applies the same rule).
     Id,
     /// Sort by `(degree, id)` (the Cuthill-McKee rule).
     DegreeThenId,
@@ -181,41 +180,16 @@ fn fresh_key<G: ParNeighborOracle>(g: &G, w: u32, within: Within) -> (u32, u32) 
     }
 }
 
-/// Expands one frontier with plain (single-threaded) visited marks:
-/// claim-by-first-parent in parent order, which is exactly the claim-by-
-/// minimum-parent rule the parallel path computes.
+/// Expands one frontier on the calling thread — the below-threshold path
+/// of the driver: claim-by-first-parent in parent order, which is exactly
+/// the claim-by-minimum-parent rule the parallel path computes. Relaxed
+/// loads/stores on one thread compile to plain memory operations.
 ///
 /// The expansion is one oracle *segment*: the implicit row graph walks
 /// each item's posting clique at most once per level — sound because the
 /// first parent holding an item reaches the whole clique, so later
 /// parents could only re-find visited rows (the marks filter the
 /// duplicates and `v` itself either way).
-#[allow(clippy::too_many_arguments)]
-fn expand_plain<G: ParNeighborOracle>(
-    g: &G,
-    parents: &[u32],
-    mark: &mut [u32],
-    stamp: u32,
-    within: Within,
-    scratch: &mut OracleScratch,
-    fresh: &mut Vec<(u32, u32)>,
-    out: &mut Vec<u32>,
-) {
-    g.begin_segment(scratch);
-    for &v in parents {
-        g.visit_neighbors(v as usize, scratch, &mut |w| {
-            if mark[w as usize] != stamp {
-                mark[w as usize] = stamp;
-                fresh.push(fresh_key(g, w, within));
-            }
-        });
-        flush_fresh(fresh, out);
-    }
-}
-
-/// [`expand_plain`] over atomic marks, still single-threaded — the
-/// below-threshold path of the parallel driver. Relaxed loads/stores on
-/// one thread compile to plain memory operations.
 #[allow(clippy::too_many_arguments)]
 fn expand_atomic_seq<G: ParNeighborOracle>(
     g: &G,
@@ -397,50 +371,9 @@ fn build_levels_atomic<G: ParNeighborOracle>(
     LevelStructure::from_raw(root, verts, offsets)
 }
 
-/// Sequential twin of [`build_levels_atomic`] — plain marks, one scratch.
-/// Counts expansions identically.
-#[allow(clippy::too_many_arguments)]
-fn build_levels_plain<G: ParNeighborOracle>(
-    g: &G,
-    root: u32,
-    mark: &mut [u32],
-    stamp: u32,
-    frontier_min: usize,
-    scratch: &mut OracleScratch,
-    stats: &mut FrontierStats,
-) -> LevelStructure {
-    mark[root as usize] = stamp;
-    let mut verts: Vec<u32> = vec![root];
-    let mut offsets: Vec<usize> = vec![0];
-    let mut current: Vec<u32> = vec![root];
-    let mut next: Vec<u32> = Vec::new();
-    let mut fresh: Vec<(u32, u32)> = Vec::new();
-    loop {
-        offsets.push(verts.len());
-        stats.record(current.len(), frontier_min);
-        next.clear();
-        expand_plain(
-            g,
-            &current,
-            mark,
-            stamp,
-            Within::Id,
-            scratch,
-            &mut fresh,
-            &mut next,
-        );
-        if next.is_empty() {
-            break;
-        }
-        verts.extend_from_slice(&next);
-        std::mem::swap(&mut current, &mut next);
-    }
-    LevelStructure::from_raw(root, verts, offsets)
-}
-
 /// Appends the Cuthill-McKee ordering of `root`'s component to `order`
 /// using the atomic frontier engine. Identical output to
-/// [`crate::cm::cuthill_mckee_component`].
+/// the reference [`crate::cuthill_mckee`].
 #[allow(clippy::too_many_arguments)]
 fn cm_component_atomic<G: ParNeighborOracle>(
     g: &G,
@@ -493,47 +426,10 @@ fn cm_component_atomic<G: ParNeighborOracle>(
     }
 }
 
-/// Sequential twin of [`cm_component_atomic`].
-#[allow(clippy::too_many_arguments)]
-fn cm_component_plain<G: ParNeighborOracle>(
-    g: &G,
-    root: u32,
-    mark: &mut [u32],
-    stamp: u32,
-    frontier_min: usize,
-    scratch: &mut OracleScratch,
-    stats: &mut FrontierStats,
-    order: &mut Vec<u32>,
-) {
-    mark[root as usize] = stamp;
-    let mut current: Vec<u32> = vec![root];
-    let mut next: Vec<u32> = Vec::new();
-    let mut fresh: Vec<(u32, u32)> = Vec::new();
-    loop {
-        stats.record(current.len(), frontier_min);
-        next.clear();
-        expand_plain(
-            g,
-            &current,
-            mark,
-            stamp,
-            Within::DegreeThenId,
-            scratch,
-            &mut fresh,
-            &mut next,
-        );
-        order.extend_from_slice(&current);
-        if next.is_empty() {
-            break;
-        }
-        std::mem::swap(&mut current, &mut next);
-    }
-}
-
 /// The atomic (thread-capable) full-graph driver: per component, a
 /// George–Liu pseudo-peripheral search followed by the strategy's
 /// traversal. Components are processed in order of their smallest vertex
-/// id, exactly like [`crate::rcm::cuthill_mckee_traced`].
+/// id, exactly like the reference [`crate::cuthill_mckee`].
 ///
 /// Oracle scratches are allocated here, once per ordering — one per
 /// worker — and reused across every frontier of every component.
@@ -613,79 +509,6 @@ fn order_vertices_atomic<G: ParNeighborOracle>(
     order
 }
 
-/// Sequential twin of [`order_vertices_atomic`]: plain marks, one
-/// scratch, no atomics. Emits the same counters — and the same order —
-/// for the same graph and strategy.
-fn order_vertices_plain<G: ParNeighborOracle>(
-    g: &G,
-    kind: BandKind,
-    frontier_min: usize,
-    stats: &mut FrontierStats,
-) -> Vec<u32> {
-    let n = g.n_vertices();
-    let mut mark = vec![0u32; n];
-    let mut scratch = g.new_scratch();
-    let mut stamp = 0u32;
-    let mut order: Vec<u32> = Vec::with_capacity(n);
-    let mut in_order = vec![false; n];
-    for start in 0..n {
-        if in_order[start] {
-            continue;
-        }
-        let (root, levels) = {
-            let stamp = &mut stamp;
-            let mark = &mut mark;
-            let stats = &mut *stats;
-            let scratch = &mut scratch;
-            george_liu_iterate(
-                |w| g.degree(w as usize),
-                move |r| {
-                    *stamp += 1;
-                    build_levels_plain(g, r, mark, *stamp, frontier_min, scratch, stats)
-                },
-                start as u32,
-            )
-        };
-        stats.components += 1;
-        stats.bfs_levels += levels.n_levels() as u64;
-        match kind {
-            BandKind::Cm => {
-                stamp += 1;
-                let before = order.len();
-                cm_component_plain(
-                    g,
-                    root,
-                    &mut mark,
-                    stamp,
-                    frontier_min,
-                    &mut scratch,
-                    stats,
-                    &mut order,
-                );
-                for &v in &order[before..] {
-                    in_order[v as usize] = true;
-                }
-            }
-            BandKind::Bfs => {
-                for &v in levels.vertices() {
-                    in_order[v as usize] = true;
-                }
-                order.extend_from_slice(levels.vertices());
-            }
-        }
-    }
-    debug_assert_eq!(order.len(), n);
-    order
-}
-
-/// Finalizes an ordering into the reversed band permutation (the paper's
-/// Fig. 4 step 14: "output R in reverse order").
-fn reversed_permutation(order: Vec<u32>) -> Permutation {
-    // cahd-lint: allow(L003, reason = "the component sweep pushes each vertex exactly once (debug_assert_eq in the drivers)")
-    let p = Permutation::from_new_to_old(order).expect("band order visits every vertex");
-    p.reversed()
-}
-
 /// Computes the reversed band ordering of `g` under `strategy` with up to
 /// `threads` frontier workers.
 ///
@@ -758,37 +581,10 @@ pub fn band_order_with<G: ParNeighborOracle>(
         &mut stats,
     );
     stats.flush_to(rec);
-    reversed_permutation(order)
-}
-
-/// Single-threaded [`band_order`]: plain marks, no atomics, one scratch.
-/// Byte-identical to the threaded driver; kept as the reference twin the
-/// equivalence suites compare against.
-pub fn band_order_seq<G: ParNeighborOracle>(g: &G, strategy: OrderingStrategy) -> Permutation {
-    band_order_seq_traced(g, strategy, &Recorder::disabled())
-}
-
-/// [`band_order_seq`] with counter recording; see [`band_order_traced`].
-pub fn band_order_seq_traced<G: ParNeighborOracle>(
-    g: &G,
-    strategy: OrderingStrategy,
-    rec: &Recorder,
-) -> Permutation {
-    band_order_seq_with(g, strategy, PARALLEL_FRONTIER_MIN, rec)
-}
-
-/// [`band_order_seq_traced`] with an explicit eligibility threshold; the
-/// test hook mirroring [`band_order_with`].
-pub fn band_order_seq_with<G: ParNeighborOracle>(
-    g: &G,
-    strategy: OrderingStrategy,
-    frontier_min: usize,
-    rec: &Recorder,
-) -> Permutation {
-    let mut stats = FrontierStats::default();
-    let order = order_vertices_plain(g, BandKind::of(strategy), frontier_min.max(1), &mut stats);
-    stats.flush_to(rec);
-    reversed_permutation(order)
+    // The paper's Fig. 4 step 14: "output R in reverse order".
+    // cahd-lint: allow(L003, reason = "the component sweep pushes each vertex exactly once (debug_assert_eq in the driver)")
+    let p = Permutation::from_new_to_old(order).expect("band order visits every vertex");
+    p.reversed()
 }
 
 #[cfg(test)]
@@ -850,22 +646,6 @@ mod tests {
                     reference.new_to_old_slice(),
                     p.new_to_old_slice(),
                     "{name} at {threads} threads"
-                );
-            }
-        }
-    }
-
-    #[test]
-    fn sequential_driver_matches_atomic_driver() {
-        for (name, g) in graphs() {
-            for strategy in OrderingStrategy::ALL {
-                let seq = band_order_seq(&g, strategy);
-                let par = band_order(&g, strategy, 4);
-                assert_eq!(
-                    seq.new_to_old_slice(),
-                    par.new_to_old_slice(),
-                    "{name} under {}",
-                    strategy.name()
                 );
             }
         }
@@ -969,7 +749,7 @@ mod tests {
         let ex = RowGraph::build_explicit(&a);
         let im = cahd_sparse::ImplicitRowGraph::new(&a);
         for strategy in [OrderingStrategy::Rcm, OrderingStrategy::Bfs] {
-            let reference = band_order_seq(&ex, strategy);
+            let reference = band_order(&ex, strategy, 1);
             for threads in [1usize, 8] {
                 let p = band_order_with(&im, strategy, threads, 1, &Recorder::disabled());
                 assert_eq!(

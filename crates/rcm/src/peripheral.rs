@@ -32,11 +32,12 @@
 //! * **Fixed point.** If the candidate `u` equals `v` itself, `v` is
 //!   returned immediately (an isolated vertex is its own candidate).
 //!
-//! Both the sequential and the frontier-parallel drivers (see
-//! [`crate::parallel`]) funnel through the single [`george_liu_iterate`]
-//! loop below, so the rule cannot drift between them.
+//! Both the reference ordering ([`crate::rcm`]) and the frontier engine
+//! (see [`crate::parallel`]) funnel through the single
+//! [`george_liu_iterate`] loop below, so the rule cannot drift between
+//! them.
 
-use cahd_sparse::NeighborOracle;
+use cahd_sparse::{OracleScratch, ParNeighborOracle};
 
 use crate::level::LevelStructure;
 
@@ -45,9 +46,9 @@ use crate::level::LevelStructure;
 /// `build(root)` must return the BFS level structure rooted at `root`.
 ///
 /// This is the *single* home of the pseudo-peripheral restart/tie rule
-/// (see the module docs); every driver — sequential, implicit-oracle, and
-/// frontier-parallel — delegates here so the chosen root is identical
-/// across representations and thread counts.
+/// (see the module docs); the reference and the frontier engine both
+/// delegate here so the chosen root is identical across representations
+/// and thread counts.
 pub(crate) fn george_liu_iterate(
     degree: impl Fn(u32) -> usize,
     mut build: impl FnMut(u32) -> LevelStructure,
@@ -81,28 +82,29 @@ pub(crate) fn george_liu_iterate(
 ///
 /// `mark`/`stamp_counter` are the reusable visited flags shared with the
 /// other traversals; the function bumps `*stamp_counter` for every BFS it
-/// performs.
+/// performs. `scratch` must come from `g.new_scratch()`.
 pub fn pseudo_peripheral_with_scratch(
-    g: &impl NeighborOracle,
+    g: &impl ParNeighborOracle,
     start: u32,
     mark: &mut [u32],
     stamp_counter: &mut u32,
+    scratch: &mut OracleScratch,
 ) -> (u32, LevelStructure) {
     george_liu_iterate(
         |w| g.degree(w as usize),
         |root| {
             *stamp_counter += 1;
-            LevelStructure::build(g, root, mark, *stamp_counter)
+            LevelStructure::build(g, root, mark, *stamp_counter, scratch)
         },
         start,
     )
 }
 
 /// Convenience wrapper that allocates its own scratch space.
-pub fn pseudo_peripheral(g: &impl NeighborOracle, start: u32) -> (u32, LevelStructure) {
+pub fn pseudo_peripheral(g: &impl ParNeighborOracle, start: u32) -> (u32, LevelStructure) {
     let mut mark = vec![0u32; g.n_vertices()];
     let mut stamp = 0u32;
-    pseudo_peripheral_with_scratch(g, start, &mut mark, &mut stamp)
+    pseudo_peripheral_with_scratch(g, start, &mut mark, &mut stamp, &mut g.new_scratch())
 }
 
 #[cfg(test)]

@@ -1,30 +1,65 @@
-//! Full (Reverse) Cuthill-McKee over all components.
+//! The reference (Reverse) Cuthill-McKee ordering.
 //!
-//! For each connected component, a pseudo-peripheral root is located
-//! ([`crate::peripheral`]) and the component is ordered by Cuthill-McKee
-//! ([`crate::cm`]). Reversing the concatenated ordering gives RCM, which is
-//! known to never worsen — and usually improve — the *profile* relative to
-//! plain CM while keeping the same bandwidth.
+//! For each connected component, in order of its smallest vertex id, a
+//! pseudo-peripheral root is located ([`crate::peripheral`]) and the
+//! component is ordered by the loop of the paper's Fig. 4: a BFS from the
+//! root in which the unvisited neighbors of each dequeued vertex are
+//! appended in order of increasing degree. Processing the queue
+//! front-to-back reproduces exactly the "for each vertex of the previous
+//! level, sort its unvisited neighbors by degree and append" formulation.
+//! Reversing the concatenated ordering gives RCM, which is known to never
+//! worsen — and usually improve — the *profile* relative to plain CM while
+//! keeping the same bandwidth.
+//!
+//! This textbook queue is the crate's single reference oracle: production
+//! code orders through the frontier engine ([`crate::band_order`]), and the
+//! equivalence suites pin the engine's bytes to this function on every
+//! representation and thread count.
 
-use cahd_sparse::{NeighborOracle, Permutation};
+use cahd_sparse::{OracleScratch, ParNeighborOracle, Permutation};
 
-use crate::cm::cuthill_mckee_component;
 use crate::peripheral::pseudo_peripheral_with_scratch;
+
+/// Appends the Cuthill-McKee ordering of the component containing `root`
+/// to `order`, stamping every vertex it appends (the `mark`/`stamp`
+/// convention of [`crate::level::LevelStructure::build`]).
+fn cuthill_mckee_component(
+    g: &impl ParNeighborOracle,
+    root: u32,
+    order: &mut Vec<u32>,
+    mark: &mut [u32],
+    stamp: u32,
+    scratch: &mut OracleScratch,
+) {
+    debug_assert_eq!(mark.len(), g.n_vertices());
+    mark[root as usize] = stamp;
+    let mut head = order.len();
+    order.push(root);
+    let mut nbrs: Vec<u32> = Vec::new();
+    let mut fresh: Vec<(usize, u32)> = Vec::new(); // (degree, vertex)
+    while head < order.len() {
+        let v = order[head] as usize;
+        head += 1;
+        nbrs.clear();
+        g.neighbors_scratch(v, scratch, &mut nbrs);
+        fresh.clear();
+        for &w in &nbrs {
+            if mark[w as usize] != stamp {
+                mark[w as usize] = stamp;
+                fresh.push((g.degree(w as usize), w));
+            }
+        }
+        // Increasing degree; vertex id breaks ties deterministically.
+        fresh.sort_unstable();
+        order.extend(fresh.iter().map(|&(_, w)| w));
+    }
+}
 
 /// Computes the (non-reversed) Cuthill-McKee ordering of `g`.
 ///
 /// Returned as a [`Permutation`] whose `new_to_old` view is the ordering.
 /// Components are processed in order of their smallest vertex id.
-pub fn cuthill_mckee(g: &impl NeighborOracle) -> Permutation {
-    cuthill_mckee_traced(g, &cahd_obs::Recorder::disabled())
-}
-
-/// Like [`cuthill_mckee`], recording ordering metrics into `rec`: counters
-/// `rcm.components` (connected components ordered) and `rcm.bfs_levels`
-/// (total levels of the pseudo-peripheral level structures, summed over
-/// components — the paper's rooted-level-structure depth). RCM is a serial
-/// BFS, so both are deterministic.
-pub fn cuthill_mckee_traced(g: &impl NeighborOracle, rec: &cahd_obs::Recorder) -> Permutation {
+pub fn cuthill_mckee(g: &impl ParNeighborOracle) -> Permutation {
     let n = g.n_vertices();
     let mut order: Vec<u32> = Vec::with_capacity(n);
     // Visited marks are shared between the peripheral search (which must
@@ -33,25 +68,21 @@ pub fn cuthill_mckee_traced(g: &impl NeighborOracle, rec: &cahd_obs::Recorder) -
     // clean slate.
     let mut mark = vec![0u32; n];
     let mut stamp = 0u32;
+    let mut scratch = g.new_scratch();
     let mut in_order = vec![false; n];
-    let mut components = 0u64;
-    let mut bfs_levels = 0u64;
     for start in 0..n {
         if in_order[start] {
             continue;
         }
-        let (root, levels) = pseudo_peripheral_with_scratch(g, start as u32, &mut mark, &mut stamp);
-        components += 1;
-        bfs_levels += levels.n_levels() as u64;
+        let (root, _) =
+            pseudo_peripheral_with_scratch(g, start as u32, &mut mark, &mut stamp, &mut scratch);
         stamp += 1;
         let before = order.len();
-        cuthill_mckee_component(g, root, &mut order, &mut mark, stamp);
+        cuthill_mckee_component(g, root, &mut order, &mut mark, stamp, &mut scratch);
         for &v in &order[before..] {
             in_order[v as usize] = true;
         }
     }
-    rec.add("rcm.components", components);
-    rec.add("rcm.bfs_levels", bfs_levels);
     debug_assert_eq!(order.len(), n);
     // cahd-lint: allow(L003, reason = "the component sweep pushes each vertex exactly once (debug_assert_eq above)")
     Permutation::from_new_to_old(order).expect("CM visits every vertex exactly once")
@@ -75,52 +106,8 @@ pub fn cuthill_mckee_traced(g: &impl NeighborOracle, rec: &cahd_obs::Recorder) -
 /// let p = reverse_cuthill_mckee(&g);
 /// assert_eq!(graph_band_stats(&g, &p).bandwidth, 1);
 /// ```
-pub fn reverse_cuthill_mckee(g: &impl NeighborOracle) -> Permutation {
+pub fn reverse_cuthill_mckee(g: &impl ParNeighborOracle) -> Permutation {
     cuthill_mckee(g).reversed()
-}
-
-/// [`reverse_cuthill_mckee`] with [`cuthill_mckee_traced`]'s metrics.
-pub fn reverse_cuthill_mckee_traced(
-    g: &impl NeighborOracle,
-    rec: &cahd_obs::Recorder,
-) -> Permutation {
-    cuthill_mckee_traced(g, rec).reversed()
-}
-
-/// RCM using the linear-time (counting-sort) Cuthill-McKee variant of
-/// Chan & George (the paper's citation \[13\]). Identical output to
-/// [`reverse_cuthill_mckee`] on explicit CSR graphs.
-pub fn reverse_cuthill_mckee_linear(g: &impl NeighborOracle) -> Permutation {
-    let n = g.n_vertices();
-    let mut order: Vec<u32> = Vec::with_capacity(n);
-    let mut mark = vec![0u32; n];
-    let mut stamp = 0u32;
-    let mut in_order = vec![false; n];
-    let mut scratch = crate::cm::DegreeBuckets::default();
-    for start in 0..n {
-        if in_order[start] {
-            continue;
-        }
-        let (root, _) = pseudo_peripheral_with_scratch(g, start as u32, &mut mark, &mut stamp);
-        stamp += 1;
-        let before = order.len();
-        crate::cm::cuthill_mckee_component_linear(
-            g,
-            root,
-            &mut order,
-            &mut mark,
-            stamp,
-            &mut scratch,
-        );
-        for &v in &order[before..] {
-            in_order[v as usize] = true;
-        }
-    }
-    debug_assert_eq!(order.len(), n);
-    Permutation::from_new_to_old(order)
-        // cahd-lint: allow(L003, reason = "the component sweep pushes each vertex exactly once (debug_assert_eq above)")
-        .expect("CM visits every vertex exactly once")
-        .reversed()
 }
 
 #[cfg(test)]
@@ -128,6 +115,50 @@ mod tests {
     use super::*;
     use cahd_sparse::bandwidth::graph_band_stats;
     use cahd_sparse::Graph;
+
+    fn cm(g: &Graph, root: u32) -> Vec<u32> {
+        let mut order = Vec::new();
+        let mut mark = vec![0u32; g.n_vertices()];
+        cuthill_mckee_component(g, root, &mut order, &mut mark, 1, &mut g.new_scratch());
+        order
+    }
+
+    #[test]
+    fn path_in_order() {
+        let g = Graph::from_edges(4, &[(0, 1), (1, 2), (2, 3)]);
+        assert_eq!(cm(&g, 0), vec![0, 1, 2, 3]);
+        assert_eq!(cm(&g, 3), vec![3, 2, 1, 0]);
+    }
+
+    #[test]
+    fn degree_sorting_within_level() {
+        // Root 0 adjacent to 1 (degree 1) and 2 (degree 2): 1 comes first.
+        let g = Graph::from_edges(4, &[(0, 1), (0, 2), (2, 3)]);
+        assert_eq!(cm(&g, 0), vec![0, 1, 2, 3]);
+    }
+
+    #[test]
+    fn only_component_of_root() {
+        let g = Graph::from_edges(4, &[(0, 1), (2, 3)]);
+        assert_eq!(cm(&g, 0), vec![0, 1]);
+    }
+
+    #[test]
+    fn tie_broken_by_vertex_id() {
+        // 1 and 2 both have degree 1 from root 0.
+        let g = Graph::from_edges(3, &[(0, 1), (0, 2)]);
+        assert_eq!(cm(&g, 0), vec![0, 1, 2]);
+    }
+
+    #[test]
+    fn appends_after_existing_order() {
+        let g = Graph::from_edges(3, &[(1, 2)]);
+        let mut order = vec![0u32];
+        let mut mark = vec![0u32; 3];
+        mark[0] = 1;
+        cuthill_mckee_component(&g, 1, &mut order, &mut mark, 1, &mut g.new_scratch());
+        assert_eq!(order, vec![0, 1, 2]);
+    }
 
     #[test]
     fn shuffled_path_recovers_bandwidth_one() {

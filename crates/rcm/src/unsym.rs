@@ -17,8 +17,7 @@ use cahd_sparse::bandwidth::{rect_band_stats, RectBandStats};
 use cahd_sparse::{resolve_hub_cap, CsrMatrix, Permutation, RowGraph, RowGraphMode};
 
 use crate::ordering::cluster_order;
-use crate::parallel::band_order_traced;
-use crate::rcm::reverse_cuthill_mckee;
+use crate::parallel::{band_order, band_order_traced};
 use crate::strategy::OrderingStrategy;
 
 /// How to order columns after the RCM row permutation.
@@ -127,8 +126,8 @@ pub fn reduce_unsymmetric(a: &CsrMatrix, opts: UnsymOptions) -> BandReduction {
 ///   `pipeline/rcm/columns` (column ordering), and `pipeline/rcm/stats`
 ///   (band statistics before/after);
 /// * the `sparse.*` counters of [`RowGraph::build_traced`] and the
-///   `rcm.components` / `rcm.bfs_levels` counters of
-///   [`crate::cuthill_mckee_traced`];
+///   `rcm.*` ordering counters of [`band_order_traced`] (`Product`
+///   method only);
 /// * gauges `rcm.bandwidth_before` / `rcm.bandwidth_after` (the
 ///   [`RectBandStats::max_diag_distance`] rectangular-bandwidth analogue)
 ///   and `rcm.mean_row_span_before` / `rcm.mean_row_span_after`.
@@ -165,7 +164,7 @@ pub fn reduce_unsymmetric_traced(
         }
         AatMethod::Sum => {
             let _s = rec.span("pipeline/rcm/order");
-            let (rp, cp) = sum_method_orderings(a);
+            let (rp, cp) = sum_method_orderings(a, opts.threads);
             (rp, Some(cp), true)
         }
     };
@@ -210,7 +209,7 @@ pub fn reduce_unsymmetric_traced(
 /// the padded square pattern whose vertices are rows *and* columns, with
 /// edges from the non-zeros. The combined ordering is split into its
 /// row-vertex and column-vertex subsequences.
-fn sum_method_orderings(a: &CsrMatrix) -> (Permutation, Permutation) {
+fn sum_method_orderings(a: &CsrMatrix, threads: usize) -> (Permutation, Permutation) {
     let n = a.n_rows();
     let d = a.n_cols();
     let size = n.max(d);
@@ -221,7 +220,7 @@ fn sum_method_orderings(a: &CsrMatrix) -> (Permutation, Permutation) {
         }
     }
     let graph = cahd_sparse::Graph::from_edges(size, &edges);
-    let combined = reverse_cuthill_mckee(&graph);
+    let combined = band_order(&graph, OrderingStrategy::Rcm, threads);
     // Relative order of row vertices / column vertices.
     let mut row_order: Vec<u32> = (0..n as u32).collect();
     row_order.sort_by_key(|&r| combined.old_to_new(r as usize));
@@ -452,6 +451,29 @@ mod tests {
         // does NOT cleanly separate the blocks here — exactly the quality
         // deficit the paper describes. The comparison test below quantifies
         // it on rectangular data.
+    }
+
+    #[test]
+    fn sum_method_matches_reference_rcm_on_the_padded_graph() {
+        let a = CsrMatrix::from_rows(&[vec![0, 4], vec![2], vec![1, 3, 4], vec![], vec![2, 3]], 7);
+        let red = reduce_unsymmetric(
+            &a,
+            UnsymOptions {
+                aat_method: AatMethod::Sum,
+                ..Default::default()
+            },
+        );
+        let edges: Vec<(u32, u32)> = (0..a.n_rows())
+            .flat_map(|r| a.row(r).iter().map(move |&c| (r as u32, c)))
+            .collect();
+        let reference = crate::reverse_cuthill_mckee(&cahd_sparse::Graph::from_edges(7, &edges));
+        let subsequence = |ids: std::ops::Range<usize>| {
+            let mut v: Vec<u32> = ids.map(|i| i as u32).collect();
+            v.sort_by_key(|&i| reference.old_to_new(i as usize));
+            v
+        };
+        assert_eq!(red.row_perm.new_to_old_slice(), subsequence(0..5));
+        assert_eq!(red.col_perm.new_to_old_slice(), subsequence(0..7));
     }
 
     #[test]

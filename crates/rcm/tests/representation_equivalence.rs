@@ -12,6 +12,9 @@
 //!    posting-list order, not sorted order, so this proves the engine's
 //!    canonical within-parent rule absorbs representation-defined
 //!    enumeration order.
+//!    The reference [`reverse_cuthill_mckee`] gives the same bytes over
+//!    both representations, and so do [`gibbs_poole_stockmeyer`] and
+//!    every rooted [`LevelStructure`].
 //! 2. **Counter invariance**: the `rcm.*` counters are identical across
 //!    representations and thread counts (same level sets, same
 //!    expansions), and the `sparse.implicit_*` build counters satisfy the
@@ -25,7 +28,10 @@
 //! representation matrix) adds one more thread count to every sweep.
 
 use cahd_obs::Recorder;
-use cahd_rcm::{band_order_with, OrderingStrategy, RowGraphMode, UnsymOptions};
+use cahd_rcm::{
+    band_order, band_order_with, gibbs_poole_stockmeyer, reverse_cuthill_mckee, LevelStructure,
+    OrderingStrategy, RowGraphMode, UnsymOptions,
+};
 use cahd_sparse::{CsrMatrix, ImplicitRowGraph, RowGraph};
 use proptest::prelude::*;
 
@@ -119,6 +125,15 @@ proptest! {
     fn implicit_ordering_is_byte_identical_to_explicit(a in arb_matrix()) {
         let ex = RowGraph::build_explicit(&a);
         let im = ImplicitRowGraph::new(&a);
+        // The reference oracle gives the same bytes over both
+        // representations, and the engine matches it.
+        let oracle = reverse_cuthill_mckee(&ex);
+        let (oracle_im, engine) = (
+            reverse_cuthill_mckee(&im),
+            band_order(&ex, OrderingStrategy::Rcm, 1),
+        );
+        prop_assert_eq!(oracle.new_to_old_slice(), oracle_im.new_to_old_slice());
+        prop_assert_eq!(oracle.new_to_old_slice(), engine.new_to_old_slice());
         for strategy in STRATEGIES {
             // The explicit single-threaded run is the reference bytes.
             let reference = band_order_with(&ex, strategy, 1, 1, &Recorder::disabled());
@@ -135,6 +150,21 @@ proptest! {
                 }
             }
         }
+    }
+
+    #[test]
+    fn gps_and_level_order_are_representation_invariant(a in arb_matrix()) {
+        let ex = RowGraph::build_explicit(&a);
+        let im = ImplicitRowGraph::new(&a);
+        for root in 0..a.n_rows() as u32 {
+            let (lx, li) = (
+                LevelStructure::rooted_at(&ex, root),
+                LevelStructure::rooted_at(&im, root),
+            );
+            prop_assert_eq!(lx.vertices(), li.vertices(), "level order from root {}", root);
+        }
+        let (gx, gi) = (gibbs_poole_stockmeyer(&ex), gibbs_poole_stockmeyer(&im));
+        prop_assert_eq!(gx.new_to_old_slice(), gi.new_to_old_slice());
     }
 
     #[test]

@@ -8,7 +8,9 @@
 //! induces a `k`-clique, i.e. `k(k-1)` directed edges. Real basket data has
 //! items with thousands of occurrences, so materializing the explicit edge
 //! set can explode. The crate therefore carries two representations behind
-//! one oracle interface:
+//! one neighbor trait, [`ParNeighborOracle`], which every ordering in
+//! `cahd-rcm` — the frontier engine and the reference algorithms — is
+//! written against:
 //!
 //! * [`Graph`] — the materialized adjacency, built by
 //!   [`RowGraph::build_explicit_threaded`];
@@ -30,43 +32,8 @@
 //! cap, trading a bounded amount of band quality for bounding the degree
 //! pass and thinning hub-dominated neighborhoods.
 
-use std::cell::RefCell;
-
 use crate::csr::CsrMatrix;
 use crate::graph::Graph;
-
-/// Vertex-neighborhood access used by the sequential reference RCM
-/// implementation (`cahd-rcm`'s `cm`/`rcm`/`level`/`gps` modules).
-///
-/// Queries take `&self` with no scratch argument, so implementations that
-/// need working memory (the implicit row graph) cannot implement it
-/// directly; wrap them in [`SeqOracle`] instead. The parallel engine uses
-/// [`ParNeighborOracle`].
-pub trait NeighborOracle {
-    /// Number of vertices.
-    fn n_vertices(&self) -> usize;
-
-    /// Appends the distinct neighbors of `v` (excluding `v` itself) to
-    /// `out`, in unspecified order.
-    fn neighbors_into(&self, v: usize, out: &mut Vec<u32>);
-
-    /// Number of distinct neighbors of `v`.
-    fn degree(&self, v: usize) -> usize;
-}
-
-impl NeighborOracle for Graph {
-    fn n_vertices(&self) -> usize {
-        Graph::n_vertices(self)
-    }
-
-    fn neighbors_into(&self, v: usize, out: &mut Vec<u32>) {
-        out.extend_from_slice(self.neighbors(v));
-    }
-
-    fn degree(&self, v: usize) -> usize {
-        Graph::degree(self, v)
-    }
-}
 
 /// Per-worker scratch for [`ParNeighborOracle::neighbors_scratch`] and
 /// [`ParNeighborOracle::visit_neighbors`]: stamped visit marks that never
@@ -126,10 +93,12 @@ impl OracleScratch {
     }
 }
 
-/// Shareable vertex-neighborhood access for the frontier-parallel ordering
-/// engine: the oracle is `Sync` and all mutable working state lives in a
-/// caller-owned [`OracleScratch`], so any number of workers can query one
-/// oracle concurrently, each through its own scratch.
+/// Vertex-neighborhood access for every ordering in `cahd-rcm` — the
+/// frontier-parallel engine and the reference algorithms alike: the
+/// oracle is `Sync` and all mutable working state lives in a caller-owned
+/// [`OracleScratch`], so any number of workers can query one oracle
+/// concurrently, each through its own scratch, and a sequential caller
+/// simply holds one.
 ///
 /// `degree` must be O(1) and exact (the Cuthill-McKee `(degree, id)` rule
 /// reads it per discovered vertex): implementations with non-trivial
@@ -205,40 +174,6 @@ impl ParNeighborOracle for Graph {
         for &w in self.neighbors(v) {
             f(w);
         }
-    }
-}
-
-/// Adapts a [`ParNeighborOracle`] to the sequential [`NeighborOracle`]
-/// interface by carrying one interior-mutable scratch. Not `Sync` — this
-/// is the bridge for the single-threaded reference algorithms (plain RCM,
-/// GPS), not for the parallel engine.
-pub struct SeqOracle<'g, G: ParNeighborOracle> {
-    g: &'g G,
-    scratch: RefCell<OracleScratch>,
-}
-
-impl<'g, G: ParNeighborOracle> SeqOracle<'g, G> {
-    /// Wraps `g` with a freshly sized scratch.
-    pub fn new(g: &'g G) -> Self {
-        SeqOracle {
-            g,
-            scratch: RefCell::new(g.new_scratch()),
-        }
-    }
-}
-
-impl<G: ParNeighborOracle> NeighborOracle for SeqOracle<'_, G> {
-    fn n_vertices(&self) -> usize {
-        self.g.n_vertices()
-    }
-
-    fn neighbors_into(&self, v: usize, out: &mut Vec<u32>) {
-        self.g
-            .neighbors_scratch(v, &mut self.scratch.borrow_mut(), out);
-    }
-
-    fn degree(&self, v: usize) -> usize {
-        self.g.degree(v)
     }
 }
 
@@ -1047,19 +982,6 @@ mod tests {
     }
 
     #[test]
-    fn seq_oracle_adapts_implicit_to_sequential_interface() {
-        let a = sample();
-        let im = ImplicitRowGraph::new(&a);
-        let seq = SeqOracle::new(&im);
-        assert_eq!(NeighborOracle::n_vertices(&seq), 4);
-        assert_eq!(NeighborOracle::degree(&seq, 1), 2);
-        let mut out = Vec::new();
-        seq.neighbors_into(1, &mut out);
-        out.sort_unstable();
-        assert_eq!(out, vec![0, 2]);
-    }
-
-    #[test]
     fn hub_cap_skips_frequent_items() {
         // item 0 in three rows (support 3), item 1 in two (support 2).
         let a = CsrMatrix::from_rows(&[vec![0, 1], vec![0, 1], vec![0]], 2);
@@ -1080,7 +1002,7 @@ mod tests {
         let a = sample();
         let est = RowGraph::estimate_directed_edges(&a);
         let g = RowGraph::build_explicit(&a);
-        let actual: usize = (0..4).map(|v| NeighborOracle::degree(&g, v)).sum();
+        let actual: usize = (0..4).map(|v| g.degree(v)).sum();
         assert!(est >= actual);
         assert_eq!(est, 2 + 2); // item0: 2 rows -> 2; item2: 2 rows -> 2
     }
