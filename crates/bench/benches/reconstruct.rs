@@ -16,7 +16,8 @@ fn bench_workload_evaluation(c: &mut Criterion) {
     let release = run_cahd(&prep, &sens, 10, 3).unwrap().published;
     let mut g = c.benchmark_group("eval/workload_r");
     g.sample_size(20);
-    for r in [2usize, 4, 8] {
+    // r = 12 shows that a query no longer pays 2^r per holder group.
+    for r in [2usize, 4, 8, 12] {
         let queries = generate_workload_seeded(&prep.data, &sens, r, 100, 5);
         g.bench_with_input(BenchmarkId::from_parameter(r), &queries, |b, q| {
             b.iter(|| evaluate_workload(&prep.data, &release, q));

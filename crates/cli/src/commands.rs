@@ -53,6 +53,19 @@ fn resolve_seed(args: &Args) -> Result<u64, CliError> {
     Ok(42)
 }
 
+/// `--r`: the group-by items per query (default 4), at most
+/// [`cahd_eval::cells::MAX_R`] so the `2^r` cells stay addressable.
+fn group_by_items(args: &Args) -> Result<usize, CliError> {
+    let r: usize = args.parse_or("r", 4)?;
+    if r > cahd_eval::cells::MAX_R {
+        return Err(CliError::Usage(format!(
+            "--r {r}: at most {} group-by items",
+            cahd_eval::cells::MAX_R
+        )));
+    }
+    Ok(r)
+}
+
 /// Flags accepted by [`generate`].
 pub const GENERATE_FLAGS: &[FlagSpec] = &[
     FlagSpec {
@@ -995,7 +1008,7 @@ pub const EVALUATE_FLAGS: &[FlagSpec] = &[
 pub fn evaluate(args: &Args) -> Result<String, CliError> {
     let data = load(args.positional(0, "data.dat")?)?;
     let release = load_release(args.positional(1, "release.json")?)?;
-    let r: usize = args.parse_or("r", 4)?;
+    let r = group_by_items(args)?;
     let n_queries: usize = args.parse_or("queries", 100)?;
     let seed: u64 = resolve_seed(args)?;
     let sensitive = SensitiveSet::new(release.sensitive_items.clone(), data.n_items());
@@ -1313,6 +1326,8 @@ pub fn profile(args: &Args) -> Result<String, CliError> {
         }
     })?;
     let seed: u64 = resolve_seed(args)?;
+    let r = group_by_items(args)?;
+    let n_queries: usize = args.parse_or("queries", 50)?;
     let data = load(args.positional(0, "data.dat")?)?;
     let sensitive = sensitive_from_args(args, &data, p, seed)?;
     let cfg = anonymizer_config_from_args(args, p)?;
@@ -1326,8 +1341,6 @@ pub fn profile(args: &Args) -> Result<String, CliError> {
     verify_published(&data, &sensitive, &res.published, p)
         .map_err(|e| CliError::Run(format!("internal error: release failed verification: {e}")))?;
 
-    let r: usize = args.parse_or("r", 4)?;
-    let n_queries: usize = args.parse_or("queries", 50)?;
     let queries = generate_workload_seeded(&data, &sensitive, r, n_queries, seed);
     let summary = (!queries.is_empty())
         .then(|| evaluate_workload_traced(&data, &res.published, &queries, &rec));

@@ -4,7 +4,7 @@
 use std::path::{Path, PathBuf};
 use std::process::{Command, Output};
 
-use cahd_core::PublishedDataset;
+use cahd_core::{AnonymizedGroup, PublishedDataset};
 
 fn fixture(name: &str) -> PathBuf {
     Path::new(env!("CARGO_MANIFEST_DIR"))
@@ -91,4 +91,34 @@ fn evaluate_and_attack_survive_tampered_qid_rows() {
         let stderr = String::from_utf8_lossy(&out.stderr);
         assert!(!stderr.contains("panicked"), "{stderr}");
     }
+}
+
+/// A group that publishes no rows yet claims a sensitive count holds
+/// nothing: it must not turn the KL of its queries into `a·0/0` and from
+/// there into a perfect score, so the release evaluates exactly like the
+/// clean one.
+#[test]
+fn rowless_group_with_counts_does_not_move_the_kl() {
+    let text = std::fs::read_to_string(fixture("demo_release.json")).unwrap();
+    let mut release: PublishedDataset = serde_json::from_str(&text).unwrap();
+    release.groups.push(AnonymizedGroup {
+        members: vec![],
+        qid_rows: vec![],
+        sensitive_counts: vec![(14, 1)],
+    });
+    let tampered = tmp("rowless_group.json");
+    std::fs::write(&tampered, serde_json::to_string(&release).unwrap()).unwrap();
+    let data = fixture("demo.dat");
+    let evaluate = |release: &Path| {
+        cli(&[
+            "evaluate",
+            data.to_str().unwrap(),
+            release.to_str().unwrap(),
+        ])
+    };
+    let (clean, hostile) = (evaluate(&fixture("demo_release.json")), evaluate(&tampered));
+    std::fs::remove_file(&tampered).ok();
+    assert_eq!(clean.status.code(), Some(0), "{clean:?}");
+    assert_eq!(hostile.status.code(), Some(0), "{hostile:?}");
+    assert_eq!(hostile.stdout, clean.stdout);
 }

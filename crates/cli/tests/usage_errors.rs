@@ -40,3 +40,21 @@ fn no_rcm_alone_still_anonymizes() {
     let out = cli(&[&["anonymize"][..], &NO_RCM].concat());
     assert_eq!(out.status.code(), Some(0), "{out:?}");
 }
+
+/// More than `MAX_R` group-by items would overflow the cell index: both
+/// commands that run a query workload refuse `--r` above it up front.
+#[test]
+fn group_by_items_beyond_the_cell_bound_are_rejected() {
+    let release = Path::new(env!("CARGO_MANIFEST_DIR")).join("../../fixtures/demo_release.json");
+    let release = release.to_str().unwrap();
+    for argv in [
+        &["evaluate", release, "--r", "21"][..],
+        &["profile", "--p", "4", "--r", "25"][..],
+    ] {
+        let out = cli(argv);
+        assert_eq!(out.status.code(), Some(2), "{argv:?}: {out:?}");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert!(stderr.contains("--r"), "{argv:?}: {stderr}");
+        assert!(!stderr.contains("panicked"), "{argv:?}: {stderr}");
+    }
+}

@@ -20,6 +20,10 @@
 //! set: a repeated id counts once and id order is irrelevant. Ids
 //! `>= n_items` are dropped, so they never match a query or a known item,
 //! and no allocation is ever sized by an id read from the release.
+//! A group that publishes no QID rows yet claims sensitive counts would
+//! spread them over no member (`a·0/0`): it holds no item, so it adds
+//! neither rows nor a count to a query, and a query whose every holder is
+//! such a group is skipped, as for an item no group holds.
 
 use std::cell::OnceCell;
 use std::ops::Range;
@@ -72,6 +76,10 @@ impl ReleaseIndex {
         }
         let mut holders: Vec<(ItemId, u32, u32)> = Vec::new();
         for (gi, g) in (0u32..).zip(&published.groups) {
+            // A group without rows has no member to carry its counts.
+            if g.qid_rows.is_empty() {
+                continue;
+            }
             for &(item, _) in &g.sensitive_counts {
                 // The count a query of `item` reads, whatever the order
                 // of the summary.
@@ -203,45 +211,153 @@ impl ReleaseIndex {
     /// The estimated PDF of `query.sensitive` over the query's cells,
     /// eq. (2): the same value, bit for bit, as
     /// [`crate::reconstruct::estimated_pdf`] on a release of well-formed
-    /// rows, at the cost of the query's QID posting lists restricted to
-    /// the groups that hold the sensitive item.
+    /// rows, at the cost of one walk over the query's QID posting lists.
     pub fn estimated_pdf(&self, query: &GroupByQuery) -> Option<Vec<f64>> {
+        self.estimated_pdf_with(query, &mut PdfScratch::default())
+    }
+
+    /// [`Self::estimated_pdf`] on caller-owned scratch, so a workload
+    /// sizes it once. Per query it costs the query's postings, the rows
+    /// they touch in holder groups, the holders and the `2^r` cells:
+    ///
+    /// 1. mark the groups that hold the sensitive item;
+    /// 2. walk the QID postings, OR-ing each cell bit into the mask of
+    ///    every row of a holder group;
+    /// 3. bucket the touched rows by holder (a counting sort; holders are
+    ///    in group order);
+    /// 4. per holder, add `a·b/|g|` to the cells its rows fall in, and to
+    ///    cell 0 for its untouched rows.
+    ///
+    /// Each cell still sums its terms in group order. The skipped terms
+    /// are `+0.0`, and adding `+0.0` to a cell that is never `-0.0` is
+    /// exact, so the result is that of the per-group loop over all cells.
+    pub(crate) fn estimated_pdf_with(
+        &self,
+        query: &GroupByQuery,
+        scratch: &mut PdfScratch,
+    ) -> Option<Vec<f64>> {
         let nc = n_cells(query.r());
-        let mut est = vec![0f64; nc];
-        let mut b = vec![0u64; nc];
-        let mut total = 0u64;
-        let mut rest: Vec<&[u32]> = query.qid.iter().map(|&q| self.postings(q)).collect();
-        // (row, cell bit) of the group's rows holding some QID item.
-        let mut hits: Vec<(u32, u32)> = Vec::new();
-        for &(_, g, a) in self.holders(query.sensitive) {
-            let rows = self.group_rows(g as usize);
-            hits.clear();
-            for (bit, list) in rest.iter_mut().enumerate() {
-                *list = &list[list.partition_point(|&r| (r as usize) < rows.start)..];
-                let inside = list.partition_point(|&r| (r as usize) < rows.end);
-                hits.extend(list[..inside].iter().map(|&r| (r, 1u32 << bit)));
-                *list = &list[inside..];
-            }
-            hits.sort_unstable();
-            b.iter_mut().for_each(|x| *x = 0);
-            let mut matched = 0u64;
-            for run in hits.chunk_by(|x, y| x.0 == y.0) {
-                b[run.iter().fold(0, |cell, &(_, bit)| cell | bit) as usize] += 1;
-                matched += 1;
-            }
-            b[0] += rows.len() as u64 - matched;
-            total += u64::from(a);
-            let g = rows.len() as f64;
-            for (e, &bc) in est.iter_mut().zip(&b) {
-                *e += f64::from(a) * bc as f64 / g;
+        let holders = self.holders(query.sensitive);
+        if holders.is_empty() {
+            return None;
+        }
+        scratch.fit(self.group_start.len() - 1, self.n_rows(), nc);
+        let PdfScratch {
+            holder_of,
+            mask,
+            touched,
+            by_holder,
+            end,
+            count,
+            cells,
+        } = scratch;
+        for (h, &(_, g, _)) in (0u32..).zip(holders) {
+            holder_of[g as usize] = h;
+        }
+        let holder_of_row = |r: u32| holder_of[self.row_group[r as usize] as usize];
+        for (bit, &q) in query.qid.iter().enumerate() {
+            for &r in self.postings(q) {
+                if holder_of_row(r) == NO_HOLDER {
+                    continue;
+                }
+                let m = &mut mask[r as usize];
+                if *m == 0 {
+                    touched.push(r);
+                }
+                *m |= 1 << bit;
             }
         }
-        if total == 0 {
-            return None;
+        // Counting sort: `end[h]` counts, then starts, then ends holder
+        // `h`'s bucket.
+        end.clear();
+        end.resize(holders.len(), 0);
+        for &r in touched.iter() {
+            end[holder_of_row(r) as usize] += 1;
+        }
+        let mut sum = 0;
+        for e in end.iter_mut() {
+            let n = *e;
+            *e = sum;
+            sum += n;
+        }
+        by_holder.resize(touched.len(), 0);
+        for &r in touched.iter() {
+            let e = &mut end[holder_of_row(r) as usize];
+            by_holder[*e as usize] = r;
+            *e += 1;
+        }
+
+        let mut est = vec![0f64; nc];
+        let mut total = 0u64;
+        let mut start = 0;
+        for (&(_, g, a), &stop) in holders.iter().zip(end.iter()) {
+            let rows = &by_holder[start as usize..stop as usize];
+            start = stop;
+            for &r in rows {
+                let c = mask[r as usize];
+                if count[c as usize] == 0 {
+                    cells.push(c);
+                }
+                count[c as usize] += 1;
+            }
+            total += u64::from(a);
+            let size = self.group_rows(g as usize).len();
+            let g = size as f64;
+            // Touched rows have a non-zero mask: cell 0 holds the rest.
+            est[0] += f64::from(a) * (size - rows.len()) as f64 / g;
+            for c in cells.drain(..) {
+                let c = c as usize;
+                est[c] += f64::from(a) * f64::from(count[c]) / g;
+                count[c] = 0;
+            }
+        }
+        for &r in touched.iter() {
+            mask[r as usize] = 0;
+        }
+        touched.clear();
+        for &(_, g, _) in holders {
+            holder_of[g as usize] = NO_HOLDER;
         }
         let t = total as f64;
         est.iter_mut().for_each(|e| *e /= t);
         Some(est)
+    }
+}
+
+/// [`PdfScratch::holder_of`] of a group that holds no queried item.
+const NO_HOLDER: u32 = u32::MAX;
+
+/// Scratch of [`ReleaseIndex::estimated_pdf_with`], grown to one index and
+/// reused across queries: between queries every entry is empty again
+/// (`NO_HOLDER`, 0 or cleared).
+#[derive(Debug, Default)]
+pub(crate) struct PdfScratch {
+    /// Per group: its position among the query's holders.
+    holder_of: Vec<u32>,
+    /// Per row: the cell bits of the query items it holds.
+    mask: Vec<u32>,
+    /// The rows with a non-zero mask, in walk order, and bucketed by
+    /// holder: holder `h`'s rows are `by_holder[end[h - 1]..end[h]]`
+    /// (from 0 for the first).
+    touched: Vec<u32>,
+    by_holder: Vec<u32>,
+    end: Vec<u32>,
+    /// Per cell: the current holder's rows in it, and the cells it set.
+    count: Vec<u32>,
+    cells: Vec<u32>,
+}
+
+impl PdfScratch {
+    fn fit(&mut self, n_groups: usize, n_rows: usize, n_cells: usize) {
+        if self.holder_of.len() < n_groups {
+            self.holder_of.resize(n_groups, NO_HOLDER);
+        }
+        if self.mask.len() < n_rows {
+            self.mask.resize(n_rows, 0);
+        }
+        if self.count.len() < n_cells {
+            self.count.resize(n_cells, 0);
+        }
     }
 }
 
@@ -345,5 +461,108 @@ impl Builder {
             contents: OnceCell::new(),
             holders,
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use cahd_core::AnonymizedGroup;
+
+    use super::*;
+    use crate::cells::MAX_R;
+    use crate::reconstruct;
+
+    const S: ItemId = 20;
+
+    fn group(qid_rows: Vec<Vec<ItemId>>, count: u32) -> AnonymizedGroup {
+        AnonymizedGroup {
+            members: (0..qid_rows.len() as u32).collect(),
+            qid_rows,
+            sensitive_counts: vec![(S, count)],
+        }
+    }
+
+    fn release(groups: Vec<AnonymizedGroup>) -> PublishedDataset {
+        PublishedDataset {
+            n_items: S as usize + 1,
+            sensitive_items: vec![S],
+            groups,
+        }
+    }
+
+    /// Index and scan oracle agree bit for bit; returns the PDF.
+    fn pdf(release: &PublishedDataset, query: &GroupByQuery) -> Option<Vec<f64>> {
+        let index = ReleaseIndex::new(release, release.n_items);
+        let est = index.estimated_pdf(query);
+        let bits = |v: &Option<Vec<f64>>| {
+            v.as_ref()
+                .map(|e| e.iter().map(|x| x.to_bits()).collect::<Vec<_>>())
+        };
+        assert_eq!(
+            bits(&est),
+            bits(&reconstruct::estimated_pdf(release, query))
+        );
+        est
+    }
+
+    #[test]
+    fn no_group_by_items_is_one_cell() {
+        let r = release(vec![
+            group(vec![vec![0], vec![1, 2]], 1),
+            group(vec![vec![3]], 2),
+        ]);
+        assert_eq!(pdf(&r, &GroupByQuery::new(S, vec![])), Some(vec![1.0]));
+    }
+
+    #[test]
+    fn a_holder_no_posting_touches_fills_cell_zero() {
+        // The second group holds the item, but none of its rows holds a
+        // queried item: its whole count lands in cell 0.
+        let r = release(vec![
+            group(vec![vec![0, 1], vec![1]], 1),
+            group(vec![vec![5], vec![]], 3),
+        ]);
+        let est = pdf(&r, &GroupByQuery::new(S, vec![0, 1])).unwrap();
+        assert_eq!(est, vec![0.75, 0.0, 0.125, 0.125]);
+    }
+
+    #[test]
+    fn rowless_holders_carry_no_count() {
+        let empty = group(vec![], 4);
+        let r = release(vec![
+            empty.clone(),
+            group(vec![vec![0], vec![1]], 1),
+            empty.clone(),
+        ]);
+        assert_eq!(
+            pdf(&r, &GroupByQuery::new(S, vec![0])),
+            Some(vec![0.5, 0.5])
+        );
+        assert_eq!(
+            pdf(&release(vec![empty]), &GroupByQuery::new(S, vec![0])),
+            None
+        );
+    }
+
+    #[test]
+    fn twenty_items_over_a_thousand_holders() {
+        // Every group publishes the same two rows, one with the first ten
+        // query items and one with the last ten, so each row's cell gets
+        // half of every group's count.
+        let low: Vec<ItemId> = (0..10).collect();
+        let high: Vec<ItemId> = (10..20).collect();
+        let groups = (0..1_200)
+            .map(|k| group(vec![low.clone(), high.clone()], 1 + k % 3))
+            .collect();
+        let r = release(groups);
+        let index = ReleaseIndex::new(&r, r.n_items);
+        let est = index
+            .estimated_pdf(&GroupByQuery::new(S, (0..MAX_R as ItemId).collect()))
+            .unwrap();
+        assert_eq!(est.len(), 1 << MAX_R);
+        let (lo, hi) = ((1 << 10) - 1, ((1 << 10) - 1) << 10);
+        assert_eq!((est[lo], est[hi]), (0.5, 0.5));
+        let rest = est.iter().enumerate().filter(|&(c, _)| c != lo && c != hi);
+        assert!(rest.map(|(_, e)| e).all(|&e| e == 0.0));
     }
 }

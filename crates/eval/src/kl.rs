@@ -26,7 +26,9 @@ pub const DEFAULT_SMOOTHING: f64 = 1e-6;
 /// ```
 ///
 /// Inputs need not be perfectly normalized; both are renormalized after
-/// smoothing. Returns 0.0 for empty slices.
+/// smoothing. Returns 0.0 for empty slices. Only a negative rounding
+/// residue is clamped to 0.0: a NaN input yields NaN, never a perfect
+/// score.
 ///
 /// # Panics
 /// Panics if the slices have different lengths or `eps <= 0`.
@@ -45,7 +47,12 @@ pub fn kl_divergence(actual: &[f64], estimated: &[f64], eps: f64) -> f64 {
         let pe = (e + eps) / te;
         kl += pa * (pa / pe).ln();
     }
-    kl.max(0.0) // guard against -0.0 / tiny negative rounding
+    // Clamp tiny negative rounding; `max` would also turn NaN into 0.0.
+    if kl < 0.0 {
+        0.0
+    } else {
+        kl
+    }
 }
 
 #[cfg(test)]
@@ -85,6 +92,12 @@ mod tests {
             kl_divergence(&a, &close, DEFAULT_SMOOTHING)
                 < kl_divergence(&a, &far, DEFAULT_SMOOTHING)
         );
+    }
+
+    #[test]
+    fn nan_input_is_not_a_perfect_score() {
+        let a = [1.0, 0.0];
+        assert!(kl_divergence(&a, &[f64::NAN, 0.0], DEFAULT_SMOOTHING).is_nan());
     }
 
     #[test]

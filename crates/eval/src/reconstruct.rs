@@ -35,6 +35,10 @@ pub fn actual_pdf(data: &TransactionSet, query: &GroupByQuery) -> Option<Vec<f64
 /// from the published groups via eq. (2). Returns `None` when the item
 /// never occurs in the release.
 ///
+/// A group without QID rows has no member to spread its count over
+/// (`a·0/0`): it contributes neither rows nor a count, so a query whose
+/// every holder is such a group returns `None` too.
+///
 /// Published QID rows contain no sensitive items, so the query's QID items
 /// are matched directly against them; the caller must not put sensitive
 /// items into the group-by list ([`GroupByQuery::new`] enforces the queried
@@ -46,7 +50,7 @@ pub fn estimated_pdf(published: &PublishedDataset, query: &GroupByQuery) -> Opti
     let mut b = vec![0u64; nc];
     for group in &published.groups {
         let a = group.sensitive_count_of(query.sensitive);
-        if a == 0 {
+        if a == 0 || group.qid_rows.is_empty() {
             continue;
         }
         total += a as u64;

@@ -6,8 +6,8 @@ use cahd_core::PublishedDataset;
 use cahd_data::TransactionSet;
 use cahd_sparse::CsrMatrix;
 
-use crate::cells::{cell_of, n_cells};
-use crate::index::ReleaseIndex;
+use crate::cells::n_cells;
+use crate::index::{PdfScratch, ReleaseIndex};
 use crate::kl::{kl_divergence, DEFAULT_SMOOTHING};
 use crate::query::GroupByQuery;
 
@@ -61,7 +61,7 @@ pub fn evaluate_workload_traced(
 ) -> ReconstructionSummary {
     let _span = rec.span("eval");
     let trace_on = rec.is_enabled();
-    let pdfs = WorkloadPdfs::new(data, published);
+    let mut pdfs = WorkloadPdfs::new(data, published);
     let mut query_ns = cahd_obs::Histogram::new();
     let mut kls: Vec<f64> = Vec::with_capacity(queries.len());
     let mut skipped = 0usize;
@@ -96,7 +96,7 @@ pub fn workload_kls(
     published: &PublishedDataset,
     queries: &[GroupByQuery],
 ) -> Vec<Option<f64>> {
-    let pdfs = WorkloadPdfs::new(data, published);
+    let mut pdfs = WorkloadPdfs::new(data, published);
     queries.iter().map(|q| pdfs.kl(q)).collect()
 }
 
@@ -110,7 +110,7 @@ pub fn average_relative_error(
     published: &PublishedDataset,
     queries: &[GroupByQuery],
 ) -> Option<f64> {
-    let pdfs = WorkloadPdfs::new(data, published);
+    let mut pdfs = WorkloadPdfs::new(data, published);
     let mut total = 0.0;
     let mut n = 0usize;
     for q in queries {
@@ -128,11 +128,15 @@ pub fn average_relative_error(
 }
 
 /// The indexes one workload's queries read: the data's inverted index for
-/// actual PDFs and the release index for estimated ones, each built once.
+/// actual PDFs and the release index for estimated ones, each built once,
+/// with the per-query scratch both sides reuse.
 struct WorkloadPdfs<'a> {
     data: &'a TransactionSet,
     by_item: CsrMatrix,
     release: ReleaseIndex,
+    /// Per item: its cell bit in the current query (0 outside it).
+    bit_of: Vec<u32>,
+    scratch: PdfScratch,
 }
 
 impl<'a> WorkloadPdfs<'a> {
@@ -141,6 +145,8 @@ impl<'a> WorkloadPdfs<'a> {
             data,
             by_item: data.inverted_index(),
             release: ReleaseIndex::new(published, data.n_items()),
+            bit_of: vec![0; data.n_items()],
+            scratch: PdfScratch::default(),
         }
     }
 
@@ -150,7 +156,7 @@ impl<'a> WorkloadPdfs<'a> {
     ///
     /// [`actual_pdf`]: crate::reconstruct::actual_pdf
     /// [`estimated_pdf`]: crate::reconstruct::estimated_pdf
-    fn pdfs(&self, q: &GroupByQuery) -> Option<(Vec<f64>, Vec<f64>)> {
+    fn pdfs(&mut self, q: &GroupByQuery) -> Option<(Vec<f64>, Vec<f64>)> {
         let s = q.sensitive as usize;
         if s >= self.by_item.n_rows() {
             return None;
@@ -160,15 +166,29 @@ impl<'a> WorkloadPdfs<'a> {
             return None;
         }
         let mut counts = vec![0u64; n_cells(q.r())];
+        // A row's cell is the OR of its items' bits: one lookup per item
+        // instead of `r` binary searches.
+        let bit_of = &mut self.bit_of;
+        for (bit, &i) in q.qid.iter().enumerate() {
+            if let Some(b) = bit_of.get_mut(i as usize) {
+                *b |= 1 << bit;
+            }
+        }
         for &t in holders {
-            counts[cell_of(self.data.transaction(t as usize), &q.qid) as usize] += 1;
+            let txn = self.data.transaction(t as usize);
+            counts[txn.iter().fold(0, |cell, &i| cell | bit_of[i as usize]) as usize] += 1;
+        }
+        for &i in &q.qid {
+            if let Some(b) = bit_of.get_mut(i as usize) {
+                *b = 0;
+            }
         }
         let total = holders.len() as f64;
         let act = counts.iter().map(|&c| c as f64 / total).collect();
-        Some((act, self.release.estimated_pdf(q)?))
+        Some((act, self.release.estimated_pdf_with(q, &mut self.scratch)?))
     }
 
-    fn kl(&self, q: &GroupByQuery) -> Option<f64> {
+    fn kl(&mut self, q: &GroupByQuery) -> Option<f64> {
         self.pdfs(q)
             .map(|(act, est)| kl_divergence(&act, &est, DEFAULT_SMOOTHING))
     }
